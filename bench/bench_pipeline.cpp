@@ -7,7 +7,8 @@
 //   Lex+PP      FileManager/SourceManager/Lexer/Preprocessor (token pull)
 //   Parse+Sema  Parser pushing to Sema (AST construction incl. shadow AST)
 //   CodeGen     AST -> IR
-//   Midend      LoopUnroll + SimplifyCFG + DCE
+//   Midend      runDefaultPipeline: LoopUnroll, SimplifyCFG, StoreForward,
+//               ScalarPromote, DCE
 //
 //===----------------------------------------------------------------------===//
 #include "BenchUtils.h"

@@ -33,7 +33,7 @@ struct CompilerOptions {
   std::vector<std::string> AnalyzePasses;
   bool SuppressWarnings = false; // -w
   bool WarningsAsErrors = false; // -Werror
-  bool RunMidend = false; // -O1: LoopUnroll + SimplifyCFG + DCE
+  bool RunMidend = false; // -O1: midend::runDefaultPipeline
   midend::LoopUnrollOptions UnrollOpts;
   std::vector<std::pair<std::string, std::string>> Defines; // -DNAME=VAL
   std::vector<std::string> IncludeDirs;

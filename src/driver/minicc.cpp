@@ -10,7 +10,8 @@
 //     -ast-dump-shadow             ... including shadow AST subtrees
 //     -emit-ir                     print the generated IR
 //     -O1                          run the mid-end (LoopUnroll, SimplifyCFG,
-//                                  DCE) before printing/running
+//                                  StoreForward, ScalarPromote, DCE)
+//                                  before printing/running
 //     -run [args...]               interpret main() and print its result
 //     -syntax-only                 stop after semantic analysis
 //     --analyze                    run the AST static analyses (OpenMP race

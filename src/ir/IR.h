@@ -423,6 +423,14 @@ public:
   void erase(std::size_t Index) {
     Insts.erase(Insts.begin() + static_cast<std::ptrdiff_t>(Index));
   }
+  /// Removes and destroys every instruction \p Pred holds for, keeping
+  /// the others in order, in one pass. Returns how many were removed.
+  template <typename PredT> std::size_t eraseIf(PredT Pred) {
+    return std::erase_if(Insts,
+                         [&Pred](const std::unique_ptr<Instruction> &I) {
+                           return Pred(I.get());
+                         });
+  }
   /// Removes the instruction, transferring ownership.
   std::unique_ptr<Instruction> take(std::size_t Index) {
     auto I = std::move(Insts[Index]);

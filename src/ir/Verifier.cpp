@@ -8,8 +8,11 @@
 //===----------------------------------------------------------------------===//
 #include "ir/IR.h"
 
-#include <set>
+#include <algorithm>
+#include <functional>
+#include <span>
 #include <sstream>
+#include <utility>
 
 namespace mcc::ir {
 
@@ -22,13 +25,15 @@ public:
   std::string run() {
     if (F.isDeclaration())
       return {};
-    collectDefinitions();
+    buildTables();
     for (const auto &BB : F.blocks())
       verifyBlock(*BB);
     return Errors.str();
   }
 
 private:
+  using Edge = std::pair<const BasicBlock *, BasicBlock *>;
+
   void error(const BasicBlock &BB, const Instruction *I,
              const std::string &Msg) {
     Errors << F.getName() << "/" << BB.getName();
@@ -37,14 +42,51 @@ private:
     Errors << ": " << Msg << "\n";
   }
 
-  void collectDefinitions() {
+  /// Sorted tables, searched by address: the values defined here, the
+  /// blocks, and one (successor, predecessor) entry per CFG edge. A
+  /// predecessor is listed once per successor, and the stable sort keeps
+  /// each block's predecessors in function order, as
+  /// BasicBlock::predecessors() returns them, without a scan of the
+  /// function for every phi.
+  void buildTables() {
     for (unsigned I = 0; I < F.getNumArgs(); ++I)
-      Defined.insert(F.getArg(I));
+      Defined.push_back(F.getArg(I));
     for (const auto &BB : F.blocks()) {
-      BlocksInFunction.insert(BB.get());
+      BlocksInFunction.push_back(BB.get());
       for (const auto &I : BB->instructions())
-        Defined.insert(I.get());
+        Defined.push_back(I.get());
+      Instruction *Term = BB->getTerminator();
+      if (!Term || Term->getOpcode() != Opcode::Br)
+        continue;
+      for (unsigned S = 0; S < Term->getNumSuccessors(); ++S)
+        if (S == 0 || Term->getSuccessor(S) != Term->getSuccessor(0))
+          Edges.push_back({Term->getSuccessor(S), BB.get()});
     }
+    std::sort(Defined.begin(), Defined.end(), std::less<>());
+    std::sort(BlocksInFunction.begin(), BlocksInFunction.end(),
+              std::less<>());
+    std::stable_sort(Edges.begin(), Edges.end(),
+                     [](const Edge &A, const Edge &B) {
+                       return std::less<>()(A.first, B.first);
+                     });
+  }
+
+  template <typename T>
+  static bool contains(const std::vector<const T *> &Sorted, const Value *V) {
+    return std::binary_search(Sorted.begin(), Sorted.end(),
+                              static_cast<const T *>(V), std::less<>());
+  }
+
+  /// The predecessors of \p BB, from the edge table.
+  std::span<const Edge> predecessorsOf(const BasicBlock &BB) const {
+    auto First = std::lower_bound(Edges.begin(), Edges.end(), &BB,
+                                  [](const Edge &E, const BasicBlock *K) {
+                                    return std::less<>()(E.first, K);
+                                  });
+    auto Last = std::find_if(First, Edges.end(), [&BB](const Edge &E) {
+      return E.first != &BB;
+    });
+    return {First, Last};
   }
 
   void verifyOperand(const BasicBlock &BB, const Instruction &I,
@@ -57,12 +99,12 @@ private:
     case Value::ValueKind::Function:
       return;
     case Value::ValueKind::BasicBlock:
-      if (!BlocksInFunction.count(ir_cast<BasicBlock>(Op)))
+      if (!contains(BlocksInFunction, Op))
         error(BB, &I, "references block from another function");
       return;
     case Value::ValueKind::Argument:
     case Value::ValueKind::Instruction:
-      if (!Defined.count(Op))
+      if (!contains(Defined, Op))
         error(BB, &I, "operand not defined in this function");
       return;
     }
@@ -103,7 +145,7 @@ private:
   }
 
   void verifyPhi(const BasicBlock &BB, const Instruction &I) {
-    std::vector<BasicBlock *> Preds = BB.predecessors();
+    auto Preds = predecessorsOf(BB);
     if (I.getNumIncoming() != Preds.size()) {
       error(BB, &I,
             "phi has " + std::to_string(I.getNumIncoming()) +
@@ -114,8 +156,8 @@ private:
     for (unsigned P = 0; P < I.getNumIncoming(); ++P) {
       BasicBlock *In = I.getIncomingBlock(P);
       bool Found = false;
-      for (BasicBlock *Pred : Preds)
-        if (Pred == In)
+      for (const Edge &Pred : Preds)
+        if (Pred.second == In)
           Found = true;
       if (!Found)
         error(BB, &I, "phi incoming block is not a predecessor");
@@ -240,8 +282,9 @@ private:
   }
 
   const Function &F;
-  std::set<const Value *> Defined;
-  std::set<const BasicBlock *> BlocksInFunction;
+  std::vector<const Value *> Defined;
+  std::vector<const BasicBlock *> BlocksInFunction;
+  std::vector<Edge> Edges;
   std::ostringstream Errors;
 };
 

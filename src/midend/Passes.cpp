@@ -1,8 +1,12 @@
 #include "midend/Passes.h"
 
+#include "midend/CFGSnapshot.h"
+
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace mcc::midend {
 
@@ -10,44 +14,36 @@ using namespace ir;
 
 namespace {
 
-/// Removes phi-incoming entries whose block died.
-void prunePhis(BasicBlock *BB, const std::set<BasicBlock *> &Alive) {
+/// Removes phi-incoming entries whose block is unreachable (or not in
+/// the function at all).
+void prunePhis(BasicBlock *BB, const CFGSnapshot &CFG) {
   for (const auto &I : BB->instructions()) {
     if (I->getOpcode() != Opcode::Phi)
       break;
     // Rebuild the operand list without dead incoming blocks.
     std::vector<Value *> Kept;
-    for (unsigned P = 0; P < I->getNumIncoming(); ++P)
-      if (Alive.count(I->getIncomingBlock(P))) {
+    for (unsigned P = 0; P < I->getNumIncoming(); ++P) {
+      unsigned In = CFG.index(I->getIncomingBlock(P));
+      if (In != CFGSnapshot::None && CFG.isReachable(In)) {
         Kept.push_back(I->getIncomingValue(P));
         Kept.push_back(I->getIncomingBlock(P));
       }
+    }
     if (Kept.size() != I->getNumOperands())
       I->setOperands(std::move(Kept));
-    (void)BB;
   }
 }
 
 unsigned removeUnreachable(Function &F) {
   if (F.isDeclaration())
     return 0;
-  std::set<BasicBlock *> Reachable;
-  std::vector<BasicBlock *> Work = {F.getEntryBlock()};
-  while (!Work.empty()) {
-    BasicBlock *BB = Work.back();
-    Work.pop_back();
-    if (!Reachable.insert(BB).second)
-      continue;
-    if (Instruction *Term = BB->getTerminator())
-      for (unsigned S = 0; S < Term->getNumSuccessors(); ++S)
-        Work.push_back(Term->getSuccessor(S));
-  }
+  CFGSnapshot CFG(F);
   std::vector<BasicBlock *> Dead;
-  for (const auto &BB : F.blocks())
-    if (!Reachable.count(BB.get()))
-      Dead.push_back(BB.get());
-  for (BasicBlock *BB : Reachable)
-    prunePhis(BB, Reachable);
+  for (unsigned B = 0; B < CFG.size(); ++B)
+    if (CFG.isReachable(B))
+      prunePhis(CFG.block(B), CFG);
+    else
+      Dead.push_back(CFG.block(B));
   for (BasicBlock *BB : Dead)
     F.eraseBlock(BB);
   return static_cast<unsigned>(Dead.size());
@@ -164,85 +160,11 @@ Value *baseObject(Value *V) {
   return V;
 }
 
-/// Reverse post-order over the reachable CFG.
-std::vector<BasicBlock *> rpoOrder(Function &F) {
-  struct Frame {
-    BasicBlock *BB;
-    unsigned NextSucc;
-  };
-  std::vector<BasicBlock *> Post;
-  std::set<BasicBlock *> Seen = {F.getEntryBlock()};
-  std::vector<Frame> Stack = {{F.getEntryBlock(), 0}};
-  while (!Stack.empty()) {
-    Frame &Fr = Stack.back();
-    Instruction *T = Fr.BB->getTerminator();
-    unsigned N = T ? T->getNumSuccessors() : 0;
-    if (Fr.NextSucc < N) {
-      BasicBlock *S = T->getSuccessor(Fr.NextSucc++);
-      if (Seen.insert(S).second)
-        Stack.push_back({S, 0});
-    } else {
-      Post.push_back(Fr.BB);
-      Stack.pop_back();
-    }
-  }
-  std::reverse(Post.begin(), Post.end());
-  return Post;
-}
-
-/// Iterative dominator sets (functions here are small).
-std::map<BasicBlock *, std::set<BasicBlock *>>
-computeDominators(Function &F, const std::vector<BasicBlock *> &RPO) {
-  std::map<BasicBlock *, std::set<BasicBlock *>> Dom;
-  std::set<BasicBlock *> All(RPO.begin(), RPO.end());
-  for (BasicBlock *BB : RPO)
-    Dom[BB] = All;
-  BasicBlock *Entry = F.getEntryBlock();
-  Dom[Entry] = {Entry};
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BasicBlock *BB : RPO) {
-      if (BB == Entry)
-        continue;
-      std::set<BasicBlock *> NewDom;
-      bool First = true;
-      for (BasicBlock *P : BB->predecessors()) {
-        if (!All.count(P))
-          continue;
-        const std::set<BasicBlock *> &PD = Dom[P];
-        if (First) {
-          NewDom = PD;
-          First = false;
-        } else {
-          for (auto It = NewDom.begin(); It != NewDom.end();)
-            if (!PD.count(*It))
-              It = NewDom.erase(It);
-            else
-              ++It;
-        }
-      }
-      NewDom.insert(BB);
-      if (NewDom != Dom[BB]) {
-        Dom[BB] = std::move(NewDom);
-        Changed = true;
-      }
-    }
-  }
-  return Dom;
-}
-
-struct NaturalLoop {
-  BasicBlock *Header = nullptr;
-  std::set<BasicBlock *> Blocks;
-  std::vector<BasicBlock *> BackSources; // blocks with an edge to Header
-};
-
 /// An alloca is promotable storage only if its address never escapes:
 /// every use in the function is as a load's pointer or a store's
 /// destination (being a store's *value* operand publishes the address).
-std::set<const Value *> nonEscapingAllocas(Function &F) {
-  std::set<const Value *> Allocas, Escaped;
+std::unordered_set<const Value *> nonEscapingAllocas(Function &F) {
+  std::unordered_set<const Value *> Allocas, Escaped;
   for (const auto &BB : F.blocks())
     for (const auto &IP : BB->instructions()) {
       if (IP->getOpcode() == Opcode::Alloca)
@@ -263,67 +185,61 @@ std::set<const Value *> nonEscapingAllocas(Function &F) {
   return Allocas;
 }
 
+using Loop = CFGSnapshot::Loop;
+
 /// Promotes scalars that live in memory (globals and non-escaping
 /// allocas) into SSA registers across one natural loop: initial load in
 /// the preheader, phis at the header and interior joins, writeback at
 /// the single exit. This is what breaks the per-iteration
 /// load/add/store round-trip on accumulator globals that store-to-load
 /// forwarding (block-local) cannot touch.
-unsigned promoteInLoop(Function &F, const NaturalLoop &L,
-                       const std::map<BasicBlock *, std::set<BasicBlock *>>
-                           &Dom,
-                       const std::vector<BasicBlock *> &RPO,
-                       const std::set<const Value *> &SafeAllocas) {
+unsigned promoteInLoop(Function &F, const CFGSnapshot &CFG, const Loop &L,
+                       const std::unordered_set<const Value *> &SafeAllocas) {
+  // An unreachable predecessor has no value to carry into a phi.
+  for (unsigned B : L.Body)
+    for (unsigned P : CFG.preds(B))
+      if (!CFG.isReachable(P))
+        return 0;
+
   // Structural gates: unique preheader, a single exit edge whose target
   // is reached only from the loop, and no calls (a callee may touch any
   // global or escaped storage).
   BasicBlock *Preheader = nullptr;
-  for (BasicBlock *P : L.Header->predecessors()) {
-    if (L.Blocks.count(P))
+  for (unsigned P : CFG.preds(L.Header)) {
+    if (CFG.inLoop(L, P))
       continue;
-    if (Preheader && Preheader != P)
+    if (Preheader && Preheader != CFG.block(P))
       return 0;
-    Preheader = P;
+    Preheader = CFG.block(P);
   }
-  if (!Preheader || !Preheader->getTerminator())
+  if (!Preheader)
     return 0;
 
-  BasicBlock *CondBlock = nullptr, *Exit = nullptr;
-  for (BasicBlock *BB : L.Blocks) {
-    Instruction *T = BB->getTerminator();
-    if (!T)
-      return 0;
-    for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
-      BasicBlock *Succ = T->getSuccessor(S);
-      if (L.Blocks.count(Succ))
+  unsigned CondIdx = CFGSnapshot::None;
+  BasicBlock *Exit = nullptr;
+  for (unsigned B : L.Body)
+    for (unsigned S : CFG.succs(B)) {
+      if (CFG.inLoop(L, S))
         continue;
-      if (CondBlock && (CondBlock != BB || Exit != Succ))
+      if (CondIdx != CFGSnapshot::None &&
+          (CondIdx != B || Exit != CFG.block(S)))
         return 0; // multiple exit edges
-      CondBlock = BB;
-      Exit = Succ;
+      CondIdx = B;
+      Exit = CFG.block(S);
     }
-  }
-  if (!CondBlock)
+  if (CondIdx == CFGSnapshot::None)
     return 0; // no exit: nothing observable to write back
+  BasicBlock *CondBlock = CFG.block(CondIdx);
 
-  for (BasicBlock *BB : L.Blocks)
-    for (const auto &IP : BB->instructions())
+  for (unsigned B : L.Body)
+    for (const auto &IP : CFG.block(B)->instructions())
       if (IP->getOpcode() == Opcode::Call)
         return 0;
 
-  auto dominatesAllBackSources = [&](BasicBlock *BB) {
-    for (BasicBlock *BS : L.BackSources) {
-      auto It = Dom.find(BS);
-      if (It == Dom.end() || !It->second.count(BB))
-        return false;
-    }
-    return true;
+  auto dominatesAllBackSources = [&](unsigned B) {
+    return std::all_of(L.BackSources.begin(), L.BackSources.end(),
+                       [&](unsigned BS) { return CFG.dominates(B, BS); });
   };
-
-  std::vector<BasicBlock *> LoopRPO;
-  for (BasicBlock *BB : RPO)
-    if (L.Blocks.count(BB))
-      LoopRPO.push_back(BB);
 
   // Candidate discovery: pointers accessed directly (no GEP) inside the
   // loop whose object identity is exact.
@@ -345,8 +261,8 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
       return true;
     return SafeAllocas.count(V) != 0;
   };
-  for (BasicBlock *BB : LoopRPO)
-    for (const auto &IP : BB->instructions()) {
+  for (unsigned B : L.Body)
+    for (const auto &IP : CFG.block(B)->instructions()) {
       if (IP->getOpcode() == Opcode::Load) {
         Value *P = IP->getOperand(0);
         if (!isPromotableObject(P))
@@ -367,14 +283,14 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
         C.HasStore = true;
         // An introduced exit writeback is only legal when the loop
         // already stores on every iteration.
-        if (!dominatesAllBackSources(BB))
+        if (!dominatesAllBackSources(B))
           C.Bad = true;
       }
     }
   // Aliasing: every other memory access in the loop must provably touch
   // a different object.
-  for (BasicBlock *BB : L.Blocks)
-    for (const auto &IP : BB->instructions()) {
+  for (unsigned B : L.Body)
+    for (const auto &IP : CFG.block(B)->instructions()) {
       Value *P = nullptr;
       if (IP->getOpcode() == Opcode::Load)
         P = IP->getOperand(0);
@@ -383,28 +299,26 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
       else
         continue;
       Value *Base = baseObject(P);
-      bool Distinct = ir_dyn_cast<GlobalVariable>(Base) ||
-                      (ir_dyn_cast<Instruction>(Base) &&
-                       ir_cast<Instruction>(Base)->getOpcode() ==
-                           Opcode::Alloca);
+      bool Distinct = isDistinctObject(Base);
       for (auto &[G, C] : Cands)
         if (P != G && (!Distinct || Base == G))
           C.Bad = true;
     }
 
   unsigned Promoted = 0;
-  std::map<Value *, Value *> Replace;
+  std::unordered_map<Value *, Value *> Replace;
   auto Resolve = [&Replace](Value *V) {
     for (auto It = Replace.find(V); It != Replace.end();
          It = Replace.find(V))
       V = It->second;
     return V;
   };
-  std::set<const Instruction *> Erase;
+  std::unordered_set<const Instruction *> Erase;
 
   // Writebacks land in a dedicated block on the exit edge, so they run
   // exactly once per loop execution even when the exit target has other
-  // predecessors (e.g. an unroll-remainder loop header).
+  // predecessors (e.g. an unroll-remainder loop header). The split is
+  // the only CFG edit; nothing below reads the snapshot's successors.
   BasicBlock *WBBlock = nullptr;
   auto writebackBlock = [&]() {
     if (WBBlock)
@@ -427,6 +341,15 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
     return WBBlock;
   };
 
+  // Per-block state of the SSA construction below, indexed by block.
+  std::vector<std::vector<unsigned>> InPreds(CFG.size());
+  for (unsigned B : L.Body)
+    for (unsigned P : CFG.preds(B))
+      if (CFG.inLoop(L, P))
+        InPreds[B].push_back(P);
+  std::vector<Instruction *> PhiAt(CFG.size());
+  std::vector<Value *> EndVal(CFG.size());
+
   for (Value *G : CandOrder) {
     const Candidate &C = Cands[G];
     if (C.Bad || !C.Ty)
@@ -440,8 +363,8 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
 
     if (!C.HasStore) {
       // Loop-invariant: every load is the preheader load.
-      for (BasicBlock *BB : LoopRPO)
-        for (const auto &IP : BB->instructions())
+      for (unsigned B : L.Body)
+        for (const auto &IP : CFG.block(B)->instructions())
           if (IP->getOpcode() == Opcode::Load && IP.get() != Pre &&
               IP->getOperand(0) == G) {
             Replace[IP.get()] = Pre;
@@ -452,27 +375,21 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
     }
 
     // Single-variable SSA construction over the loop region with phis
-    // at the header and every interior join.
-    std::map<BasicBlock *, Instruction *> PhiAt;
-    std::map<BasicBlock *, std::vector<BasicBlock *>> InPreds;
-    for (BasicBlock *BB : LoopRPO) {
-      std::vector<BasicBlock *> Preds;
-      for (BasicBlock *P : BB->predecessors())
-        if (L.Blocks.count(P) &&
-            std::find(Preds.begin(), Preds.end(), P) == Preds.end())
-          Preds.push_back(P);
-      InPreds[BB] = Preds;
-      if (BB == L.Header || Preds.size() >= 2) {
+    // at the header and every interior join. RPO visits a block with one
+    // in-loop predecessor after that predecessor.
+    for (unsigned B : L.Body) {
+      PhiAt[B] = nullptr;
+      EndVal[B] = nullptr;
+      if (B == L.Header || InPreds[B].size() >= 2) {
         auto Phi = std::make_unique<Instruction>(
             Opcode::Phi, C.Ty, std::vector<Value *>{}, Tag + ".promoted");
-        PhiAt[BB] = BB->insertAt(0, std::move(Phi));
+        PhiAt[B] = CFG.block(B)->insertAt(0, std::move(Phi));
       }
     }
-    std::map<BasicBlock *, Value *> EndVal;
-    for (BasicBlock *BB : LoopRPO) {
-      Value *Cur = PhiAt.count(BB) ? static_cast<Value *>(PhiAt[BB])
-                                   : EndVal[InPreds[BB].front()];
-      for (const auto &IP : BB->instructions()) {
+    for (unsigned B : L.Body) {
+      Value *Cur = PhiAt[B] ? static_cast<Value *>(PhiAt[B])
+                            : EndVal[InPreds[B].front()];
+      for (const auto &IP : CFG.block(B)->instructions()) {
         if (IP->getOpcode() == Opcode::Load && IP->getOperand(0) == G) {
           Replace[IP.get()] = Cur;
           Erase.insert(IP.get());
@@ -482,28 +399,30 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
           Erase.insert(IP.get());
         }
       }
-      EndVal[BB] = Cur;
+      EndVal[B] = Cur;
     }
-    for (auto &[BB, Phi] : PhiAt) {
+    for (unsigned B : L.Body) {
+      if (!PhiAt[B])
+        continue;
       std::vector<Value *> Ops;
-      if (BB == L.Header) {
+      if (B == L.Header) {
         Ops.push_back(Pre);
         Ops.push_back(Preheader);
-        for (BasicBlock *BS : L.BackSources) {
+        for (unsigned BS : L.BackSources) {
           Ops.push_back(EndVal[BS]);
-          Ops.push_back(BS);
+          Ops.push_back(CFG.block(BS));
         }
       } else {
-        for (BasicBlock *P : InPreds[BB]) {
+        for (unsigned P : InPreds[B]) {
           Ops.push_back(EndVal[P]);
-          Ops.push_back(P);
+          Ops.push_back(CFG.block(P));
         }
       }
-      Phi->setOperands(std::move(Ops));
+      PhiAt[B]->setOperands(std::move(Ops));
     }
     auto WB = std::make_unique<Instruction>(
         Opcode::Store, IRType::getVoid(),
-        std::vector<Value *>{EndVal[CondBlock], G});
+        std::vector<Value *>{EndVal[CondIdx], G});
     BasicBlock *WBB = writebackBlock();
     WBB->insertAt(WBB->size() - 1, std::move(WB));
     ++Promoted;
@@ -511,14 +430,22 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
 
   if (Promoted == 0)
     return 0;
+  // Point every use of a replaced load at its replacement, then compact
+  // each block once. Only loads are replaced and only loads and stores
+  // erased, so other values skip the table lookups.
   for (const auto &BB : F.blocks())
     for (const auto &IP : BB->instructions())
-      for (unsigned K = 0; K < IP->getNumOperands(); ++K)
-        IP->setOperand(K, Resolve(IP->getOperand(K)));
+      for (unsigned K = 0; K < IP->getNumOperands(); ++K) {
+        const auto *Op = ir_dyn_cast<Instruction>(IP->getOperand(K));
+        if (Op && Op->getOpcode() == Opcode::Load)
+          IP->setOperand(K, Resolve(IP->getOperand(K)));
+      }
   for (const auto &BB : F.blocks())
-    for (std::size_t Idx = BB->size(); Idx-- > 0;)
-      if (Erase.count(BB->instructions()[Idx].get()))
-        BB->erase(Idx);
+    BB->eraseIf([&Erase](const Instruction *I) {
+      return (I->getOpcode() == Opcode::Load ||
+              I->getOpcode() == Opcode::Store) &&
+             Erase.count(I);
+    });
   return Promoted;
 }
 
@@ -527,7 +454,7 @@ unsigned promoteScalarsInFunction(Function &F) {
     return 0;
   unsigned Promoted = 0;
   bool Changed = true;
-  // Each promotion may split an exit edge, so analyses are recomputed
+  // A promotion may split an exit edge, so the CFG snapshot is rebuilt
   // after every transformed loop. Innermost loops go first: an
   // accumulator promoted out of an inner loop reappears (as the
   // inserted preheader load / writeback store) inside the enclosing
@@ -535,49 +462,19 @@ unsigned promoteScalarsInFunction(Function &F) {
   // move outward through the nest, so this terminates.
   while (Changed) {
     Changed = false;
-    std::vector<BasicBlock *> RPO = rpoOrder(F);
-    auto Dom = computeDominators(F, RPO);
-
-    // Natural loops: back edges B->H where H dominates B; bodies by
-    // backward reachability from B stopping at H.
-    std::map<BasicBlock *, NaturalLoop> Loops;
-    for (BasicBlock *BB : RPO) {
-      Instruction *T = BB->getTerminator();
-      if (!T)
-        continue;
-      for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
-        BasicBlock *H = T->getSuccessor(S);
-        if (!Dom[BB].count(H))
-          continue;
-        NaturalLoop &L = Loops[H];
-        L.Header = H;
-        L.BackSources.push_back(BB);
-        L.Blocks.insert(H);
-        std::vector<BasicBlock *> Work = {BB};
-        while (!Work.empty()) {
-          BasicBlock *Cur = Work.back();
-          Work.pop_back();
-          if (!L.Blocks.insert(Cur).second)
-            continue;
-          for (BasicBlock *P : Cur->predecessors())
-            Work.push_back(P);
-        }
-      }
-    }
-
-    std::vector<const NaturalLoop *> Order;
-    for (const auto &[H, L] : Loops)
-      Order.push_back(&L);
-    std::sort(Order.begin(), Order.end(),
-              [](const NaturalLoop *A, const NaturalLoop *B) {
-                if (A->Blocks.size() != B->Blocks.size())
-                  return A->Blocks.size() < B->Blocks.size();
-                return A->Header->getName() < B->Header->getName();
+    CFGSnapshot CFG(F);
+    std::vector<Loop> Loops = CFG.naturalLoops();
+    std::sort(Loops.begin(), Loops.end(),
+              [&CFG](const Loop &A, const Loop &B) {
+                if (A.Body.size() != B.Body.size())
+                  return A.Body.size() < B.Body.size();
+                return CFG.block(A.Header)->getName() <
+                       CFG.block(B.Header)->getName();
               });
 
-    std::set<const Value *> SafeAllocas = nonEscapingAllocas(F);
-    for (const NaturalLoop *L : Order)
-      if (unsigned N = promoteInLoop(F, *L, Dom, RPO, SafeAllocas)) {
+    std::unordered_set<const Value *> SafeAllocas = nonEscapingAllocas(F);
+    for (const Loop &L : Loops)
+      if (unsigned N = promoteInLoop(F, CFG, L, SafeAllocas)) {
         Promoted += N;
         Changed = true;
         break; // CFG may have changed: re-analyze
@@ -597,31 +494,62 @@ unsigned runSimplifyCFG(Module &M) {
 
 unsigned runDCE(Module &M) {
   unsigned Removed = 0;
+  auto isRemovable = [](const Instruction &I) {
+    return !hasSideEffects(I) && !I.getType()->isVoid();
+  };
+  constexpr unsigned Dead = ~0u;
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      // Count uses.
-      std::map<const Value *, unsigned> Uses;
-      for (const auto &BB : F->blocks())
-        for (const auto &I : BB->instructions())
-          for (const Value *Op : I->operands())
-            ++Uses[Op];
-      for (const auto &BB : F->blocks()) {
-        for (std::size_t Idx = BB->size(); Idx-- > 0;) {
-          const Instruction *I = BB->instructions()[Idx].get();
-          if (hasSideEffects(*I) || I->getType()->isVoid())
-            continue;
-          if (Uses[I] == 0) {
-            BB->erase(Idx);
-            ++Removed;
-            Changed = true;
-          }
-        }
+    // Every instruction with its use count, sorted by address and counted
+    // once. A phi's use of itself counts, so a phi that only feeds itself
+    // stays.
+    std::vector<std::pair<const Instruction *, unsigned>> Uses;
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        Uses.push_back({I.get(), 0});
+    auto ByAddress = [](const auto &E, const Instruction *I) {
+      return std::less<>()(E.first, I);
+    };
+    std::sort(Uses.begin(), Uses.end(), [&](const auto &A, const auto &B) {
+      return ByAddress(A, B.first);
+    });
+    auto usesOf = [&](const Value *V) -> unsigned * {
+      const auto *I = ir_dyn_cast<Instruction>(V);
+      if (!I)
+        return nullptr;
+      auto It = std::lower_bound(Uses.begin(), Uses.end(), I, ByAddress);
+      return It != Uses.end() && It->first == I ? &It->second : nullptr;
+    };
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        for (const Value *Op : I->operands())
+          if (unsigned *N = usesOf(Op))
+            ++*N;
+
+    // Removing an instruction releases its operands; each reaches zero
+    // uses at most once, so each is queued at most once.
+    std::vector<const Instruction *> Work;
+    for (auto &[I, N] : Uses)
+      if (N == 0 && isRemovable(*I))
+        Work.push_back(I);
+    unsigned Erased = 0;
+    while (!Work.empty()) {
+      const Instruction *I = Work.back();
+      Work.pop_back();
+      *usesOf(I) = Dead;
+      ++Erased;
+      for (const Value *Op : I->operands()) {
+        unsigned *N = usesOf(Op);
+        if (N && --*N == 0 && isRemovable(*ir_cast<Instruction>(Op)))
+          Work.push_back(ir_cast<Instruction>(Op));
       }
     }
+    if (Erased == 0)
+      continue;
+    for (const auto &BB : F->blocks())
+      BB->eraseIf([&](const Instruction *I) { return *usesOf(I) == Dead; });
+    Removed += Erased;
   }
   return Removed;
 }
