@@ -114,8 +114,10 @@ CodeGenFunction::emitPrivatizationClauses(
           std::int64_t Id = 0;
           bool Signed = VD->getType()->isSignedIntegerType();
           unsigned Bits = Ty->getBitWidth();
-          std::int64_t MaxV = Signed ? ((1LL << (Bits - 1)) - 1) : -1;
-          std::int64_t MinV = Signed ? -(1LL << (Bits - 1)) : 0;
+          // Through std::uint64_t: 1LL << 63 overflows.
+          const std::uint64_t Top = std::uint64_t{1} << (Bits - 1);
+          std::int64_t MaxV = Signed ? static_cast<std::int64_t>(Top - 1) : -1;
+          std::int64_t MinV = Signed ? static_cast<std::int64_t>(-Top) : 0;
           switch (RC->getOperator()) {
           case OpenMPReductionOp::Mul:
           case OpenMPReductionOp::LogAnd:

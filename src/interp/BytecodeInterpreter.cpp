@@ -49,11 +49,11 @@ inline std::int64_t applyFused(bc::FusedOp O, std::int64_t A,
                                std::int64_t B) {
   switch (O) {
   case bc::FusedOp::Add:
-    return A + B;
+    return ops::wrapAdd(A, B);
   case bc::FusedOp::Sub:
-    return A - B;
+    return ops::wrapSub(A, B);
   case bc::FusedOp::Mul:
-    return A * B;
+    return ops::wrapMul(A, B);
   case bc::FusedOp::And:
     return A & B;
   case bc::FusedOp::Or:
@@ -99,7 +99,8 @@ RTValue ExecutionEngine::executeBytecode(std::uint32_t FnIdx,
       FS.allocate(BF.NumFrame * sizeof(RTValue) + BF.ArenaBytes));
   auto *Frame = reinterpret_cast<RTValue *>(Mem);
   char *Arena = Mem + BF.NumFrame * sizeof(RTValue);
-  std::memcpy(Frame, Pool, BF.NumConsts * sizeof(RTValue));
+  if (BF.NumConsts) // a function without constants may have no pool
+    std::memcpy(Frame, Pool, BF.NumConsts * sizeof(RTValue));
   std::memset(static_cast<void *>(Frame + BF.NumConsts), 0,
               (BF.NumFrame - BF.NumConsts) * sizeof(RTValue));
   for (std::uint32_t K = 0; K < BF.NumArgs; ++K)
@@ -169,19 +170,22 @@ RTValue ExecutionEngine::executeBytecode(std::uint32_t FnIdx,
   }
   VMCASE(Add) : {
     const bc::Inst &In = *IP;
-    Frame[In.A].I = ops::signExtend(Frame[In.B].I + Frame[In.C].I, In.W);
+    Frame[In.A].I =
+        ops::signExtend(ops::wrapAdd(Frame[In.B].I, Frame[In.C].I), In.W);
     ++IP;
     VMNEXT();
   }
   VMCASE(Sub) : {
     const bc::Inst &In = *IP;
-    Frame[In.A].I = ops::signExtend(Frame[In.B].I - Frame[In.C].I, In.W);
+    Frame[In.A].I =
+        ops::signExtend(ops::wrapSub(Frame[In.B].I, Frame[In.C].I), In.W);
     ++IP;
     VMNEXT();
   }
   VMCASE(Mul) : {
     const bc::Inst &In = *IP;
-    Frame[In.A].I = ops::signExtend(Frame[In.B].I * Frame[In.C].I, In.W);
+    Frame[In.A].I =
+        ops::signExtend(ops::wrapMul(Frame[In.B].I, Frame[In.C].I), In.W);
     ++IP;
     VMNEXT();
   }

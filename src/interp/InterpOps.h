@@ -33,6 +33,22 @@ inline std::uint64_t zeroExtend(std::int64_t V, unsigned Bits) {
   return static_cast<std::uint64_t>(V) & ((1ULL << Bits) - 1);
 }
 
+/// Wrapping int64 arithmetic. Mini-IR integers wrap in two's complement;
+/// the host's signed + - * would be undefined on overflow, so they go
+/// through std::uint64_t.
+inline std::int64_t wrapAdd(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) +
+                                   static_cast<std::uint64_t>(B));
+}
+inline std::int64_t wrapSub(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) -
+                                   static_cast<std::uint64_t>(B));
+}
+inline std::int64_t wrapMul(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) *
+                                   static_cast<std::uint64_t>(B));
+}
+
 /// Integer binary operation at the given result width. Division and
 /// remainder trap on zero (std::runtime_error) and pin the INT64_MIN / -1
 /// overflow case; every result is sign-extended back to \p Bits.
@@ -42,13 +58,13 @@ inline std::int64_t evalIntBinop(ir::Opcode Op, std::int64_t A,
   std::int64_t R = 0;
   switch (Op) {
   case Opcode::Add:
-    R = A + B;
+    R = wrapAdd(A, B);
     break;
   case Opcode::Sub:
-    R = A - B;
+    R = wrapSub(A, B);
     break;
   case Opcode::Mul:
-    R = A * B;
+    R = wrapMul(A, B);
     break;
   case Opcode::SDiv:
     if (B == 0)

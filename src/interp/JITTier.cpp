@@ -308,7 +308,8 @@ RTValue ExecutionEngine::runNative(std::uint32_t FnIdx,
       FS.allocate(BF.NumFrame * sizeof(RTValue) + BF.ArenaBytes));
   auto *Frame = reinterpret_cast<RTValue *>(Mem);
   char *Arena = Mem + BF.NumFrame * sizeof(RTValue);
-  std::memcpy(Frame, Pool, BF.NumConsts * sizeof(RTValue));
+  if (BF.NumConsts) // a function without constants may have no pool
+    std::memcpy(Frame, Pool, BF.NumConsts * sizeof(RTValue));
   std::memset(static_cast<void *>(Frame + BF.NumConsts), 0,
               (BF.NumFrame - BF.NumConsts) * sizeof(RTValue));
   for (std::uint32_t K = 0; K < BF.NumArgs; ++K)
