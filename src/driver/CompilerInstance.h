@@ -1,8 +1,9 @@
 //===--- CompilerInstance.h - Whole-pipeline orchestration ------*- C++ -*-===//
 //
 // Owns every layer of the paper's Fig. 1 and drives source -> tokens ->
-// AST -> IR (-> mid-end). The library entry point used by the minicc
-// driver, the examples, the tests and the benchmarks.
+// AST -> IR (-> mid-end) through the three stage functions below. The
+// library entry point used by the minicc driver, the examples, the tests
+// and the benchmarks.
 //
 //===----------------------------------------------------------------------===//
 #ifndef MCC_DRIVER_COMPILERINSTANCE_H
@@ -17,7 +18,9 @@
 #include "sema/Sema.h"
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace mcc {
 
@@ -43,6 +46,34 @@ struct CompilerOptions {
   interp::ExecEngineKind ExecEngine = interp::ExecEngineKind::Default;
 };
 
+//===----------------------------------------------------------------------===//
+// The pipeline's three stages. CompilerInstance runs them back to back; the
+// compile service (src/service) runs each one on a cache miss of the level
+// that stores its output. Each reports into the DiagnosticsEngine it is
+// given and returns false once an error has been reported there.
+//===----------------------------------------------------------------------===//
+
+/// Stage 1, lex: preprocesses \p MainFile, resolved through \p PP's
+/// FileManager, into the whole token stream (eof last). \p PP must be
+/// fresh; it owns the text of macro-expanded tokens, so it must outlive
+/// \p Tokens.
+bool lexMainFile(Preprocessor &PP, const CompilerOptions &Options,
+                 const std::string &MainFile, std::vector<Token> &Tokens);
+
+/// Stage 2, parse: builds the AST by replaying \p Tokens through the
+/// Parser into \p Actions, then runs the analyses \p Options selects
+/// (--analyze=<list> by name, else the default set). \p TU is set even
+/// when the parse reported errors.
+bool parseTokenStream(std::span<const Token> Tokens, SourceManager &SM,
+                      Sema &Actions, const CompilerOptions &Options,
+                      TranslationUnitDecl *&TU);
+
+/// Stage 3, emit: CodeGen of \p TU into \p M, the IR verifier, and under
+/// -O1 the mid-end and the verifier again.
+bool emitModule(const ASTContext &Ctx, TranslationUnitDecl *TU,
+                const CompilerOptions &Options, DiagnosticsEngine &Diags,
+                ir::Module &M, midend::PipelineStats &Stats);
+
 class CompilerInstance {
 public:
   explicit CompilerInstance(CompilerOptions Options = {});
@@ -51,11 +82,14 @@ public:
   /// Registers an in-memory file (tests, examples).
   void addVirtualFile(const std::string &Path, std::string_view Contents);
 
-  /// Front-end only: source -> AST. Returns false on any error.
+  /// Front-end only: stages 1 and 2, source -> AST. Lexing the whole file
+  /// comes first, so no parse starts after a lexing error. Returns false on
+  /// any error.
   bool parseToAST(const std::string &MainFile);
 
-  /// AST -> IR (and the mid-end pipeline when enabled). parseToAST must
-  /// have succeeded. Returns false if the verifier rejects the module.
+  /// Stage 3, AST -> IR (and the mid-end pipeline when enabled).
+  /// parseToAST must have succeeded. Returns false if the verifier rejects
+  /// the module.
   bool emitIR();
 
   /// Convenience: full pipeline over in-memory source.

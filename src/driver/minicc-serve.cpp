@@ -40,10 +40,8 @@
 //
 // Job spec grammar (one job per line; '#' starts a comment):
 //   [flags...] <file>
-// with per-job flags a subset of minicc's:
-//   -fno-openmp -fopenmp-enable-irbuilder -O1 -run -w -Werror
-//   --analyze -num-threads=N -unroll-factor=N -DNAME[=VALUE]
-//   -exec-engine=walker|bytecode|native|tiered (backend for -run jobs)
+// with minicc's compile flags (service/JobSpec.h, printed by --help). A
+// job reads no file but its own source: an #include fails as not found.
 //
 //===----------------------------------------------------------------------===//
 #include "net/Client.h"
@@ -94,10 +92,8 @@ void printUsage() {
       "  --stats[=json]          fetch daemon statistics after the batch\n"
       "  --shutdown              ask the daemon to drain and exit\n"
       "job spec: one per line: [flags...] <file>\n"
-      "  flags: -fno-openmp -fopenmp-enable-irbuilder -O1 -run -w\n"
-      "         -Werror --analyze -num-threads=N -unroll-factor=N\n"
-      "         -DNAME[=VALUE]\n"
-      "         -exec-engine=walker|bytecode|native|tiered\n");
+      "%s",
+      svc::jobFlagHelp().c_str());
 }
 
 bool parseU64(const std::string &Arg, const char *Prefix, std::uint64_t &Out) {
@@ -224,6 +220,7 @@ int runInline(const Options &O) {
       else
         std::printf("[%zu] OK %s (%s)\n", K, Job.Path.c_str(),
                     traceSpelling(Res.Trace));
+      std::fputs(Res.Diagnostics.c_str(), stderr); // warnings, remarks
     }
   }
 
@@ -336,10 +333,10 @@ int runClient(const Options &O) {
       if (It == Ready.end())
         break;
       const Verdict &V = It->second;
-      if (V.Failed || !(O.Quiet && V.Quietable))
+      if (V.Failed || !(O.Quiet && V.Quietable)) {
         std::printf("%s\n", V.Line.c_str());
-      if (!V.Diag.empty())
         std::fputs(V.Diag.c_str(), stderr);
+      }
       Ready.erase(It);
       ++NextPrint;
     }
@@ -374,6 +371,7 @@ int runClient(const Options &O) {
         if (Ev.Result.Executed)
           V.Line += " main=" + std::to_string(
                                    static_cast<long long>(Ev.Result.ExitValue));
+        V.Diag = Ev.Result.Diagnostics; // warnings, remarks
         break;
       case net::ResultStatus::CompileFail:
         V.Failed = true;

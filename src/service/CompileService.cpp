@@ -7,15 +7,12 @@
 //===----------------------------------------------------------------------===//
 #include "service/CompileService.h"
 
-#include "analysis/Analysis.h"
 #include "runtime/KMPRuntime.h"
 #include "support/ContentHash.h"
 #include "support/JSONWriter.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <span>
 
 namespace mcc::svc {
 
@@ -43,11 +40,9 @@ std::uint64_t tokenStreamKey(std::string_view Source,
     H = hashBytes(Name, H);
     H = hashBytes(Value, hashCombine(H, '='));
   }
-  H = hashCombine(H, Options.IncludeDirs.size());
-  for (const std::string &Dir : Options.IncludeDirs)
-    H = hashBytes(Dir, H);
-  // NOT hashed: the registration path (content addressing) and
-  // OpenMPDefaultNumThreads (runtime-only; see header).
+  // NOT hashed: the registration path (content addressing),
+  // OpenMPDefaultNumThreads (runtime-only; see header) and IncludeDirs (a
+  // job's FileManager holds nothing to find in them).
   return H;
 }
 
@@ -59,6 +54,9 @@ std::uint64_t astKey(std::uint64_t L1Key, const CompilerOptions &Options) {
   H = hashCombine(H, Options.LangOpts.HeuristicUnrollFactor);
   H = hashBool(H, Options.RunASTVerifier);
   H = hashBool(H, Options.RunAnalyzers);
+  H = hashCombine(H, Options.AnalyzePasses.size());
+  for (const std::string &Pass : Options.AnalyzePasses)
+    H = hashBytes(Pass, hashCombine(H, Pass.size()));
   return H;
 }
 
@@ -78,15 +76,6 @@ std::uint64_t moduleKey(std::uint64_t L2Key, const CompilerOptions &Options) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string renderDiags(const StoringDiagnosticConsumer &Store,
-                        const SourceManager &SM) {
-  std::string Out;
-  TextDiagnosticPrinter Printer(Out, &SM);
-  for (const Diagnostic &D : Store.getDiagnostics())
-    Printer.handleDiagnostic(D);
-  return Out;
-}
 
 /// Rough retained size of an IR module for the LRU byte budget.
 std::size_t estimateModuleBytes(const ir::Module &M) {
@@ -116,24 +105,8 @@ CompileService::produceTokens(const CompileJob &Job) {
   A->Diags.setWarningsAsErrors(Job.Options.WarningsAsErrors);
   A->FM.addVirtualFile(Job.Path, Job.Source);
   A->PP = std::make_unique<Preprocessor>(A->FM, A->SM, A->Diags);
-  A->PP->setOpenMPEnabled(Job.Options.LangOpts.OpenMP);
-  for (const auto &[Name, Value] : Job.Options.Defines)
-    A->PP->defineCommandLineMacro(Name, Value);
-  for (const std::string &Dir : Job.Options.IncludeDirs)
-    A->PP->addIncludeDir(Dir);
-
-  if (!A->PP->enterMainFile(Job.Path)) {
-    A->Diags.report(SourceLocation(), diag::err_pp_file_not_found) << Job.Path;
-    A->Failed = true;
-  } else {
-    Token Tok;
-    do {
-      A->PP->lex(Tok);
-      A->Tokens.push_back(Tok);
-    } while (!Tok.is(tok::eof));
-    A->Failed = A->Diags.hasErrorOccurred();
-  }
-  A->DiagText = renderDiags(A->DiagStore, A->SM);
+  A->Failed = !lexMainFile(*A->PP, Job.Options, Job.Path, A->Tokens);
+  A->DiagText = A->DiagStore.render(A->SM);
   A->Bytes = sizeof(TokenStreamArtifact) + Job.Source.size() +
              A->Tokens.capacity() * sizeof(Token) + 4096;
   return A;
@@ -143,7 +116,6 @@ std::shared_ptr<ASTArtifact>
 CompileService::produceAST(std::shared_ptr<const TokenStreamArtifact> Toks,
                            const CompilerOptions &Options) {
   auto A = std::make_shared<ASTArtifact>();
-  A->LangOpts = Options.LangOpts;
   A->Tokens = Toks;
   if (Toks->Failed) {
     A->Failed = true;
@@ -152,38 +124,20 @@ CompileService::produceAST(std::shared_ptr<const TokenStreamArtifact> Toks,
     return A;
   }
 
-  // Parse by *replaying* the cached token stream: a fresh Preprocessor in
-  // replay mode never lexes, so the dummy FileManager is never consulted
-  // and the shared SourceManager is only read (rendering locations).
   // Diagnostics are per-request state and belong to this production run.
   StoringDiagnosticConsumer Store;
   DiagnosticsEngine Diags(&Store);
   Diags.setSuppressAllWarnings(Options.SuppressWarnings);
   Diags.setWarningsAsErrors(Options.WarningsAsErrors);
-  FileManager DummyFM;
-  // The artifact's SourceManager is shared between concurrent replays;
-  // Preprocessor wants a mutable reference but never mutates it in
-  // replay mode (all includes were folded into the recorded stream).
+  // The artifact's SourceManager is shared between concurrent replays; the
+  // replaying Preprocessor wants a mutable reference but never mutates it
+  // (all includes were folded into the recorded stream).
   auto &SM = const_cast<SourceManager &>(Toks->SM);
-  Preprocessor RPP(DummyFM, SM, Diags);
-  RPP.setOpenMPEnabled(Options.LangOpts.OpenMP);
-  RPP.enterTokenStream(std::span<const Token>(Toks->Tokens));
-
   {
-    Sema Actions(A->Ctx, Diags, A->LangOpts);
-    Parser P(RPP, Actions);
-    A->TU = P.parseTranslationUnit();
+    Sema Actions(A->Ctx, Diags, Options.LangOpts);
+    A->Failed = !parseTokenStream(Toks->Tokens, SM, Actions, Options, A->TU);
   }
-  bool OK = A->TU && !Diags.hasErrorOccurred();
-  if (OK && (Options.RunASTVerifier || Options.RunAnalyzers)) {
-    analysis::AnalysisManager AM(A->Ctx, Diags);
-    analysis::registerDefaultAnalyses(AM, Options.RunAnalyzers,
-                                      Options.RunASTVerifier);
-    AM.run(A->TU);
-    OK = !Diags.hasErrorOccurred();
-  }
-  A->Failed = !OK;
-  A->DiagText = Toks->DiagText + renderDiags(Store, Toks->SM);
+  A->DiagText = Toks->DiagText + Store.render(Toks->SM);
   A->Bytes =
       sizeof(ASTArtifact) + A->Ctx.getTotalAllocatedBytes() + 4096;
   return A;
@@ -201,40 +155,17 @@ CompileService::produceModule(std::shared_ptr<const ASTArtifact> AST,
     return A;
   }
 
+  // The request's options: every LangOption CodeGen reads is part of the
+  // L2 key, so the cached module is still a pure function of the L2
+  // artifact plus the L3 knobs.
   StoringDiagnosticConsumer Store;
   DiagnosticsEngine Diags(&Store);
   A->Mod = std::make_unique<ir::Module>("main");
-  // The artifact's LangOpts (not the request's): the cached module is a
-  // pure function of the L2 artifact plus the L3 knobs. Every LangOption
-  // codegen reads is part of the L2 key, so the distinction is invisible
-  // to clients.
-  CodeGenModule CGM(AST->Ctx, AST->LangOpts, *A->Mod);
-  CGM.emitTranslationUnit(AST->TU);
-
-  bool OK = true;
-  if (Options.RunVerifier) {
-    std::string Err = ir::verifyModule(*A->Mod);
-    if (!Err.empty()) {
-      Diags.report(SourceLocation(), diag::err_codegen_unsupported)
-          << ("invalid IR produced:\n" + Err);
-      OK = false;
-    }
-  }
-  if (OK && Options.RunMidend) {
-    A->MidendStats = midend::runDefaultPipeline(*A->Mod, Options.UnrollOpts);
-    if (Options.RunVerifier) {
-      std::string Err = ir::verifyModule(*A->Mod);
-      if (!Err.empty()) {
-        Diags.report(SourceLocation(), diag::err_codegen_unsupported)
-            << ("mid-end produced invalid IR:\n" + Err);
-        OK = false;
-      }
-    }
-  }
-  A->Failed = !OK;
-  A->DiagText = AST->DiagText + renderDiags(Store, AST->Tokens->SM);
+  A->Failed = !emitModule(AST->Ctx, AST->TU, Options, Diags, *A->Mod,
+                          A->MidendStats);
+  A->DiagText = AST->DiagText + Store.render(AST->Tokens->SM);
   A->Bytes = sizeof(ModuleArtifact) + estimateModuleBytes(*A->Mod);
-  if (OK) {
+  if (!A->Failed) {
     // Translate to bytecode while we are already the single-flight
     // producer: every execution (and every engine built from this
     // artifact) shares the one translation. Engine choice is not part of

@@ -9,6 +9,12 @@
 //   L2  (L1 key, language/OpenMP options)      -> AST + Sema artifacts
 //   L3  (L2 key, codegen mode + mid-end knobs) -> finished ir::Module
 //
+// Each level's producer runs one of the pipeline stages CompilerInstance
+// runs (lexMainFile, parseTokenStream, emitModule in
+// driver/CompilerInstance.h); the producers add only the cache work: keys,
+// byte estimates, rendered diagnostics, the bytecode translation and the
+// disk store.
+//
 // Keys are pure content hashes: the *path* a buffer is registered under
 // never participates, so the same source text submitted under different
 // file names shares one L1 chain. Hashing happens *before* lexing — any
@@ -62,7 +68,7 @@ namespace mcc::svc {
 /// through the SourceManager — so the artifact owns all four, plus the
 /// diagnostics of the production run.
 struct TokenStreamArtifact {
-  FileManager FM;
+  FileManager FM{/*DiskFallback=*/false}; ///< holds the job's source only
   SourceManager SM;
   StoringDiagnosticConsumer DiagStore;
   DiagnosticsEngine Diags{&DiagStore};
@@ -82,7 +88,6 @@ struct TokenStreamArtifact {
 /// dropped after parsing — the AST is immutable from here on.
 struct ASTArtifact {
   std::shared_ptr<const TokenStreamArtifact> Tokens;
-  LangOptions LangOpts; ///< options the AST was built under (stable copy)
   ASTContext Ctx;
   TranslationUnitDecl *TU = nullptr;
 
@@ -131,15 +136,18 @@ struct ModuleArtifact {
 //===----------------------------------------------------------------------===//
 
 /// L1 key: source bytes + everything that changes the token stream
-/// (OpenMP pragma recognition, -D defines, include search path) or the
-/// severity of production diagnostics (-w, -Werror). The registration
-/// path is deliberately excluded.
+/// (OpenMP pragma recognition, -D defines) or the severity of production
+/// diagnostics (-w, -Werror). The registration path is deliberately
+/// excluded. A job's lex stage reads no file but its own source, so the
+/// include search path and the contents of other files cannot change the
+/// stream and are excluded too.
 std::uint64_t tokenStreamKey(std::string_view Source,
                              const CompilerOptions &Options);
 
-/// L2 key: L1 key + options consumed by Parser/Sema/analyses. Includes
-/// OpenMPEnableIRBuilder because Sema builds different trees per mode
-/// (shadow-AST helpers vs OMPCanonicalLoop).
+/// L2 key: L1 key + options consumed by Parser/Sema/analyses (lowering
+/// mode, heuristic unroll factor, verifier, --analyze and its pass list).
+/// Includes OpenMPEnableIRBuilder because Sema builds different trees per
+/// mode (shadow-AST helpers vs OMPCanonicalLoop).
 std::uint64_t astKey(std::uint64_t L1Key, const CompilerOptions &Options);
 
 /// L3 key: L2 key + codegen/mid-end knobs (verifier, -O1 pipeline and its

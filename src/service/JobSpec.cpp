@@ -1,20 +1,24 @@
 //===--- JobSpec.cpp - Textual compile-job specification -------------------===//
 #include "service/JobSpec.h"
 
-#include <cstring>
+#include "analysis/Analysis.h"
+
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <sstream>
 
 namespace mcc::svc {
 
 namespace {
 
-bool parseU64Flag(const std::string &Arg, const char *Prefix,
+/// Parses \p Text as a whole decimal number no larger than \p Max. Digits
+/// only: an empty value, a sign, blanks, trailing junk or overflow fail.
+bool parseDecimal(std::string_view Text, std::uint64_t Max,
                   std::uint64_t &Out) {
-  std::size_t Len = std::strlen(Prefix);
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = std::strtoull(Arg.c_str() + Len, nullptr, 10);
-  return true;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out <= Max;
 }
 
 } // namespace
@@ -27,59 +31,105 @@ std::vector<std::string> splitJobWords(const std::string &Line) {
   return Words;
 }
 
-bool parseJobFlagWord(const std::string &W, CompileJob &Job,
+std::string jobFlagHelp() {
+  const CompilerOptions Defaults;
+  return "compile flags (a leading '--' is the same as '-'):\n"
+         "  -fopenmp | -fno-openmp      OpenMP pragma handling (default on)\n"
+         "  -fopenmp-enable-irbuilder   OMPCanonicalLoop/OpenMPIRBuilder "
+         "pipeline\n"
+         "  -O1                         run the mid-end pipeline\n"
+         "  -run                        execute main() after compiling\n"
+         "  --analyze                   run AST static analyses (race linter,\n"
+         "                              canonical-loop conformance)\n"
+         "  --analyze=<pass,...>        run exactly these analyses; names:\n"
+         "                              " +
+         analysis::getKnownAnalysisPassNames() +
+         "\n"
+         "  -w                          suppress all warnings\n"
+         "  -Werror                     treat warnings as errors\n"
+         "  -DNAME[=VALUE]              define macro\n"
+         "  -num-threads=N              default OpenMP thread count for -run,\n"
+         "                              1 to 2147483647 (default " +
+         std::to_string(Defaults.LangOpts.OpenMPDefaultNumThreads) +
+         ")\n"
+         "  -unroll-factor=N            -O1 heuristic unroll factor, 0 "
+         "disables\n"
+         "                              (default " +
+         std::to_string(Defaults.UnrollOpts.HeuristicFactor) +
+         ")\n"
+         "  --exec-engine=<e>           execution backend for -run: walker |\n"
+         "                              bytecode | native | tiered (default:\n"
+         "                              bytecode, or the MCC_EXEC_ENGINE\n"
+         "                              environment variable)\n";
+}
+
+bool parseJobFlagWord(const std::string &Word, CompileJob &Job,
                       std::string &Error) {
+  std::string_view W = Word;
+  if (W.starts_with("--"))
+    W.remove_prefix(1);
+  std::string_view V; // the value after a prefix word's '='
+  auto HasPrefix = [&](std::string_view Prefix) {
+    if (!W.starts_with(Prefix))
+      return false;
+    V = W.substr(Prefix.size());
+    return true;
+  };
+  auto Invalid = [&](const char *Flag, const char *Expected) {
+    Error = std::string("invalid ") + Flag + " (expected " + Expected +
+            "): " + Word;
+    return false;
+  };
+
+  CompilerOptions &O = Job.Options;
   std::uint64_t N = 0;
   if (W == "-fopenmp")
-    Job.Options.LangOpts.OpenMP = true;
+    O.LangOpts.OpenMP = true;
   else if (W == "-fno-openmp")
-    Job.Options.LangOpts.OpenMP = false;
+    O.LangOpts.OpenMP = false;
   else if (W == "-fopenmp-enable-irbuilder")
-    Job.Options.LangOpts.OpenMPEnableIRBuilder = true;
+    O.LangOpts.OpenMPEnableIRBuilder = true;
   else if (W == "-O1")
-    Job.Options.RunMidend = true;
+    O.RunMidend = true;
   else if (W == "-run")
     Job.Execute = true;
-  else if (W == "--analyze" || W == "-analyze")
-    Job.Options.RunAnalyzers = true;
-  else if (W.rfind("--analyze=", 0) == 0 || W.rfind("-analyze=", 0) == 0) {
-    std::string List = W.substr(W.find('=') + 1);
-    std::size_t Pos = 0;
-    while (Pos <= List.size()) {
-      std::size_t Comma = List.find(',', Pos);
-      std::string Name = List.substr(
-          Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-      if (!Name.empty())
-        Job.Options.AnalyzePasses.push_back(Name);
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
+  else if (W == "-analyze")
+    O.RunAnalyzers = true;
+  else if (HasPrefix("-analyze=")) {
+    const std::size_t Before = O.AnalyzePasses.size();
+    while (!V.empty()) {
+      std::size_t Comma = std::min(V.find(','), V.size());
+      if (Comma != 0)
+        O.AnalyzePasses.emplace_back(V.substr(0, Comma));
+      V.remove_prefix(std::min(Comma + 1, V.size()));
     }
+    if (O.AnalyzePasses.size() == Before)
+      return Invalid("--analyze=", "at least one pass name");
   } else if (W == "-w")
-    Job.Options.SuppressWarnings = true;
+    O.SuppressWarnings = true;
   else if (W == "-Werror")
-    Job.Options.WarningsAsErrors = true;
-  else if (parseU64Flag(W, "-num-threads=", N))
-    Job.Options.LangOpts.OpenMPDefaultNumThreads = static_cast<unsigned>(N);
-  else if (parseU64Flag(W, "-unroll-factor=", N))
-    Job.Options.UnrollOpts.HeuristicFactor = static_cast<unsigned>(N);
-  else if (W.rfind("-exec-engine=", 0) == 0) {
-    if (!interp::parseExecEngineKind(W.substr(std::strlen("-exec-engine=")),
-                                     Job.Options.ExecEngine)) {
-      Error = "invalid -exec-engine (expected 'walker', 'bytecode', "
-              "'native', or 'tiered'): " +
-              W;
-      return false;
-    }
-  } else if (W.rfind("-D", 0) == 0 && W.size() > 2) {
-    std::string Def = W.substr(2);
-    std::size_t Eq = Def.find('=');
-    if (Eq == std::string::npos)
-      Job.Options.Defines.emplace_back(Def, "1");
+    O.WarningsAsErrors = true;
+  else if (HasPrefix("-num-threads=")) {
+    // The runtime counts threads in an int; a team of 0 divides by zero.
+    if (!parseDecimal(V, INT_MAX, N) || N == 0)
+      return Invalid("-num-threads=", "a whole number from 1 to 2147483647");
+    O.LangOpts.OpenMPDefaultNumThreads = static_cast<unsigned>(N);
+  } else if (HasPrefix("-unroll-factor=")) {
+    if (!parseDecimal(V, UINT_MAX, N))
+      return Invalid("-unroll-factor=", "a whole number from 0 to 4294967295");
+    O.UnrollOpts.HeuristicFactor = static_cast<unsigned>(N);
+  } else if (HasPrefix("-exec-engine=")) {
+    if (!interp::parseExecEngineKind(V, O.ExecEngine))
+      return Invalid("--exec-engine=",
+                     "'walker', 'bytecode', 'native', or 'tiered'");
+  } else if (HasPrefix("-D") && !V.empty()) {
+    std::size_t Eq = V.find('=');
+    if (Eq == std::string_view::npos)
+      O.Defines.emplace_back(V, "1");
     else
-      Job.Options.Defines.emplace_back(Def.substr(0, Eq), Def.substr(Eq + 1));
+      O.Defines.emplace_back(V.substr(0, Eq), V.substr(Eq + 1));
   } else {
-    Error = "unknown job flag: " + W;
+    Error = "unknown argument: '" + Word + "'";
     return false;
   }
   return true;

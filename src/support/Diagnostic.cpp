@@ -130,6 +130,14 @@ void DiagnosticsEngine::emit(Diagnostic D,
   }
 }
 
+std::string StoringDiagnosticConsumer::render(const SourceManager &SM) const {
+  std::string Out;
+  TextDiagnosticPrinter Printer(Out, &SM);
+  for (const Diagnostic &D : Diags)
+    Printer.handleDiagnostic(D);
+  return Out;
+}
+
 void TextDiagnosticPrinter::handleDiagnostic(const Diagnostic &D) {
   const char *SevStr = "";
   switch (D.Sev) {

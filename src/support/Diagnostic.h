@@ -131,6 +131,9 @@ public:
   }
   void clear() { Diags.clear(); }
 
+  /// Every stored diagnostic as TextDiagnosticPrinter renders it.
+  [[nodiscard]] std::string render(const SourceManager &SM) const;
+
 private:
   std::vector<Diagnostic> Diags;
 };

@@ -27,6 +27,8 @@ const MemoryBuffer *FileManager::getBuffer(const std::string &Path) {
     return It->second.get();
   if (auto It = DiskCache.find(Path); It != DiskCache.end())
     return It->second.get();
+  if (!DiskFallback)
+    return nullptr;
 
   std::ifstream In(Path, std::ios::binary);
   if (!In)
@@ -42,6 +44,8 @@ const MemoryBuffer *FileManager::getBuffer(const std::string &Path) {
 bool FileManager::exists(const std::string &Path) const {
   if (VirtualFiles.count(Path) || DiskCache.count(Path))
     return true;
+  if (!DiskFallback)
+    return false;
   std::ifstream In(Path, std::ios::binary);
   return static_cast<bool>(In);
 }

@@ -23,7 +23,10 @@ namespace mcc {
 /// the #include machinery trivial to exercise.
 class FileManager {
 public:
-  FileManager() = default;
+  /// With \p DiskFallback false the manager serves only its virtual files:
+  /// the compile service lexes each job through such a manager, so a job
+  /// can read no file but its own source.
+  explicit FileManager(bool DiskFallback = true) : DiskFallback(DiskFallback) {}
   FileManager(const FileManager &) = delete;
   FileManager &operator=(const FileManager &) = delete;
 
@@ -36,8 +39,9 @@ public:
   void addVirtualFile(std::string Path, std::string_view Contents);
 
   /// Returns the buffer for \p Path, reading from the virtual FS first and
-  /// the real FS second. Returns nullptr if the file does not exist. The
-  /// FileManager retains ownership; buffers live as long as the manager.
+  /// (with DiskFallback) the real FS second. Returns nullptr if the file
+  /// does not exist. The FileManager retains ownership; buffers live as
+  /// long as the manager.
   const MemoryBuffer *getBuffer(const std::string &Path);
 
   [[nodiscard]] bool exists(const std::string &Path) const;
@@ -53,6 +57,7 @@ public:
   }
 
 private:
+  bool DiskFallback;
   std::map<std::string, std::unique_ptr<MemoryBuffer>> VirtualFiles;
   std::map<std::string, std::unique_ptr<MemoryBuffer>> DiskCache;
   std::vector<std::unique_ptr<MemoryBuffer>> RetiredBuffers;

@@ -304,6 +304,33 @@ TEST_F(NetTest, MalformedSubmitsAreRejectedNotFatal) {
   EXPECT_EQ(Server->statsSnapshot().RejectedMalformed, 1u);
 }
 
+TEST_F(NetTest, ZeroThreadRunIsRejectedAndTheDaemonKeepsServing) {
+  svc::ServiceOptions SO;
+  SO.NumWorkers = 1;
+  startServer(SO, {});
+  const char *Parallel = "int a[8];\n"
+                         "int main(void) {\n"
+                         "  #pragma omp parallel for\n"
+                         "  for (int i = 0; i < 8; i = i + 1)\n"
+                         "    a[i] = i;\n"
+                         "  return a[7];\n"
+                         "}\n";
+
+  // A team of zero threads would divide by zero in the runtime and take
+  // the daemon down with it; the grammar refuses the job instead.
+  net::Client C = makeClient();
+  ASSERT_TRUE(C.submit(1, "par.c", "-num-threads=0 -run", Parallel));
+  net::ClientEvent Ev = nextEvent(C);
+  ASSERT_EQ(Ev.Type, net::MsgType::Reject);
+  EXPECT_EQ(Ev.Reject.Code, net::RejectCode::Malformed);
+
+  ASSERT_TRUE(C.submit(2, "par.c", "-num-threads=2 -run", Parallel));
+  Ev = nextEvent(C);
+  ASSERT_EQ(Ev.Type, net::MsgType::Result);
+  EXPECT_EQ(Ev.Result.Status, net::ResultStatus::Ok);
+  EXPECT_EQ(Ev.Result.ExitValue, 7);
+}
+
 TEST_F(NetTest, DuplicateActiveJobIdIsMalformed) {
   svc::ServiceOptions SO;
   SO.NumWorkers = 1;

@@ -11,6 +11,8 @@
 #include "service/ArtifactStore.h"
 #include "service/JobSpec.h"
 
+#include "runtime/KMPRuntime.h"
+
 #include "gtest/gtest.h"
 
 #include <atomic>
@@ -38,6 +40,19 @@ const char *const SumProgram = "int main(void) {\n"
                                "    sum += i;\n"
                                "  return sum;\n"
                                "}\n";
+
+/// A shared scalar written in a parallel loop, so the race linter warns.
+/// a[] stays zero, so no iteration takes the write: -run stays free of a
+/// real race (which ThreadSanitizer would report) and returns 0.
+const char *const RacyProgram = "int a[64];\n"
+                                "int main(void) {\n"
+                                "  int s = 0;\n"
+                                "  #pragma omp parallel for\n"
+                                "  for (int i = 0; i < 64; i = i + 1)\n"
+                                "    if (a[i] != 0)\n"
+                                "      s = s + a[i];\n"
+                                "  return s;\n"
+                                "}\n";
 
 CompileJob makeJob(std::string Source, std::string Path = "input.c") {
   CompileJob Job;
@@ -111,6 +126,17 @@ TEST(ServiceKeys, LevelKnobsLandInTheirLevel) {
   CompilerOptions Defined = Base;
   Defined.Defines.emplace_back("N", "50");
   EXPECT_NE(tokenStreamKey(SumProgram, Defined), L1);
+
+  // Analysis-level: the --analyze=<list> passes run on the AST.
+  CompilerOptions Deps = Base;
+  Deps.AnalyzePasses = {"deps"};
+  EXPECT_EQ(tokenStreamKey(SumProgram, Deps), L1);
+  EXPECT_NE(astKey(L1, Deps), L2);
+
+  // A job reads no file but its own source: the include path is in no key.
+  CompilerOptions Included = Base;
+  Included.IncludeDirs = {"/usr/include"};
+  EXPECT_EQ(tokenStreamKey(SumProgram, Included), L1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -207,6 +233,55 @@ TEST(ServiceCache, FailuresAreCachedToo) {
   EXPECT_FALSE(B.Succeeded);
   EXPECT_TRUE(B.Trace.L3Hit); // the failure artifact was served from cache
   EXPECT_EQ(A.Diagnostics, B.Diagnostics);
+}
+
+TEST(ServiceCache, AnalyzePassListIsPartOfTheASTKey) {
+  // Under -Werror the race linter fails the racy program while the
+  // dependence report only adds remarks: the two jobs share their tokens
+  // but must not share an AST artifact.
+  ServiceOptions SO;
+  SO.NumWorkers = 1;
+  CompileService Service(SO);
+
+  CompileJob Deps = makeJob(RacyProgram);
+  Deps.Options.WarningsAsErrors = true;
+  Deps.Options.AnalyzePasses = {"deps"};
+  CompileResult A = Service.compile(Deps);
+  EXPECT_TRUE(A.Succeeded) << A.Diagnostics;
+
+  CompileJob Race = Deps;
+  Race.Options.AnalyzePasses = {"openmp-race-linter"};
+  CompileResult B = Service.compile(Race);
+  EXPECT_FALSE(B.Succeeded);
+  EXPECT_NE(B.Diagnostics.find("data race"), std::string::npos)
+      << B.Diagnostics;
+  EXPECT_TRUE(B.Trace.L1Hit);
+  EXPECT_FALSE(B.Trace.L2Hit);
+}
+
+TEST(ServiceCache, JobsReadNoFileButTheirOwnSource) {
+  const std::string Dir = ::testing::TempDir();
+  const std::string Name = "mcc_service_include_probe.h";
+  std::ofstream(Dir + Name) << "int leaked_probe_bytes = 7;\n";
+  ASSERT_TRUE(std::filesystem::exists(Dir + Name));
+
+  ServiceOptions SO;
+  SO.NumWorkers = 1;
+  CompileService Service(SO);
+  // By absolute path, and by name through an include directory.
+  const std::string Main = "int main(void) { return 0; }\n";
+  CompileJob Absolute = makeJob("#include \"" + Dir + Name + "\"\n" + Main);
+  CompileJob Searched = makeJob("#include \"" + Name + "\"\n" + Main);
+  Searched.Options.IncludeDirs = {Dir};
+  for (const CompileJob &Job : {Absolute, Searched}) {
+    CompileResult R = Service.compile(Job);
+    EXPECT_FALSE(R.Succeeded);
+    EXPECT_NE(R.Diagnostics.find("file not found"), std::string::npos)
+        << R.Diagnostics;
+    EXPECT_EQ(R.Diagnostics.find("leaked_probe_bytes"), std::string::npos)
+        << R.Diagnostics;
+  }
+  std::filesystem::remove(Dir + Name);
 }
 
 TEST(ServiceCache, LRUEvictionRespectsByteBudget) {
@@ -598,6 +673,37 @@ TEST_F(DiskStoreTest, CorruptedStoreOnlySlowsTheServiceDown) {
   EXPECT_GE(Warm.statsSnapshot().Disk.BadArtifacts, 1u);
 }
 
+TEST_F(DiskStoreTest, EditingAnIncludedFileCannotStaleAVerdict) {
+  // The L1 key hashes only the job's own source. That is sound because a
+  // job reads no other file: the verdict served from disk after the
+  // "header" changes is the verdict a fresh compile gives now.
+  const std::string Header = Root + "-probe.h";
+  const std::string Source =
+      "#include \"" + Header + "\"\nint main(void) { return helper(); }\n";
+  std::ofstream(Header) << "int helper(void) { return 1; }\n";
+  ServiceOptions SO;
+  SO.NumWorkers = 1;
+  SO.DiskStorePath = Root;
+  {
+    CompileService Service(SO);
+    CompileResult Cold = Service.compile(makeJob(Source));
+    EXPECT_FALSE(Cold.Succeeded);
+    Service.shutdown();
+  }
+  std::ofstream(Header) << "this is not C\n";
+
+  CompileService Warm(SO);
+  CompileResult R = Warm.compile(makeJob(Source));
+  EXPECT_TRUE(R.Trace.DiskHit);
+  ServiceOptions NoDisk;
+  NoDisk.NumWorkers = 1;
+  CompileService Fresh(NoDisk);
+  CompileResult Now = Fresh.compile(makeJob(Source));
+  EXPECT_EQ(R.Succeeded, Now.Succeeded);
+  EXPECT_EQ(R.Diagnostics, Now.Diagnostics);
+  std::filesystem::remove(Header);
+}
+
 //===----------------------------------------------------------------------===//
 // Job-spec grammar (shared by job files and the wire protocol)
 //===----------------------------------------------------------------------===//
@@ -625,6 +731,15 @@ TEST(JobSpec, FlagWordsRoundTripThroughRender) {
             Job.Options.LangOpts.OpenMPDefaultNumThreads);
   EXPECT_EQ(Re.Options.Defines, Job.Options.Defines);
   EXPECT_EQ(Re.Options.AnalyzePasses, Job.Options.AnalyzePasses);
+
+  // "--x" and "-x" are one word.
+  CompileJob Other;
+  for (const std::string &W : splitJobWords(Flags)) {
+    std::string Spelling = W.starts_with("--") ? W.substr(1) : "-" + W;
+    ASSERT_TRUE(parseJobFlagWord(Spelling, Other, Error))
+        << Spelling << ": " << Error;
+  }
+  EXPECT_EQ(renderJobFlags(Other), Flags);
 }
 
 TEST(JobSpec, UnknownFlagsAndBadLinesAreRejected) {
@@ -633,6 +748,27 @@ TEST(JobSpec, UnknownFlagsAndBadLinesAreRejected) {
   EXPECT_FALSE(parseJobFlagWord("-frobnicate", Job, Error));
   EXPECT_FALSE(Error.empty());
   EXPECT_FALSE(parseJobFlagWord("-exec-engine=quantum", Job, Error));
+
+  // Numbers are whole decimals in range: -num-threads= from 1 to INT_MAX
+  // (a team of 0 would divide by zero at run time), -unroll-factor= within
+  // unsigned. Empty lists, signs, junk and overflow are errors, and a
+  // rejected word leaves the job untouched.
+  for (const char *W :
+       {"-num-threads=0", "-num-threads=abc", "-num-threads=",
+        "-num-threads=-1", "-num-threads=+2", "-num-threads=2x",
+        "-num-threads=2147483648", "--num-threads=0", "-num-threads",
+        "-unroll-factor=", "-unroll-factor=-1", "-unroll-factor=0x4",
+        "-unroll-factor=4294967296", "-unroll-factor=4294967297",
+        "--analyze=", "-analyze=,"})
+    EXPECT_FALSE(parseJobFlagWord(W, Job, Error)) << W;
+  EXPECT_EQ(Job.Options.LangOpts.OpenMPDefaultNumThreads,
+            CompilerOptions().LangOpts.OpenMPDefaultNumThreads);
+  EXPECT_EQ(Job.Options.UnrollOpts.HeuristicFactor,
+            CompilerOptions().UnrollOpts.HeuristicFactor);
+  EXPECT_TRUE(Job.Options.AnalyzePasses.empty());
+  for (const char *W : {"-num-threads=1", "--num-threads=2147483647",
+                        "-unroll-factor=0", "-unroll-factor=4294967295"})
+    EXPECT_TRUE(parseJobFlagWord(W, Job, Error)) << W << ": " << Error;
 
   std::string File;
   Error.clear();
@@ -647,19 +783,108 @@ TEST(JobSpec, UnknownFlagsAndBadLinesAreRejected) {
   EXPECT_TRUE(Job.Options.RunMidend);
 }
 
-TEST(ServiceParity, DiagnosticsMatchCompilerInstance) {
-  const char *Warns = "int main(void) {\n"
-                      "  int x = 0;\n"
-                      "  #pragma omp bogus\n"
-                      "  return x;\n"
-                      "}\n";
-  CompilerInstance CI{CompilerOptions{}};
-  bool DirectOK = CI.compileSource(Warns);
+namespace {
 
+/// Inputs of the parity table: every verdict the pipeline can reach.
+const char *const ParityInputs[] = {
+    // A clean transformed program (-DN changes its result).
+    "#ifndef N\n"
+    "#define N 16\n"
+    "#endif\n"
+    "int a[64];\n"
+    "int main(void) {\n"
+    "  #pragma omp parallel for\n"
+    "  #pragma omp tile sizes(4)\n"
+    "  for (int i = 0; i < N; i = i + 1)\n"
+    "    a[i] = 2 * i;\n"
+    "  int s = 0;\n"
+    "  #pragma omp unroll partial(2)\n"
+    "  for (int i = 0; i < N; i = i + 1)\n"
+    "    s += a[i];\n"
+    "  return s;\n"
+    "}\n",
+    RacyProgram,
+    // A preprocessor warning: silent under -w, an error under -Werror.
+    "#define K 2\n"
+    "#define K 3\n"
+    "int main(void) { return K; }\n",
+    // A lexing error followed by a parse error (the missing ';').
+    "int main(void) {\n"
+    "  int x = 1 @ 2;\n"
+    "  return x\n"
+    "}\n",
+    // A legality refusal: reversing a loop-carried flow dependence.
+    "int a[64];\n"
+    "int main(void) {\n"
+    "  a[0] = 1;\n"
+    "  #pragma omp reverse\n"
+    "  for (int i = 1; i < 64; i += 1)\n"
+    "    a[i] = a[i - 1] + 1;\n"
+    "  return a[63];\n"
+    "}\n",
+};
+
+/// Rows of the parity table: every word of the flag grammar, in both
+/// spellings and in the combinations that change a verdict.
+const char *const ParityFlagLines[] = {
+    "",
+    "-fopenmp",
+    "-fno-openmp",
+    "-fopenmp-enable-irbuilder",
+    "-O1",
+    "-run",
+    "--analyze",
+    "-analyze=openmp-race-linter",
+    "--analyze=canonical-loop-conformance,deps",
+    "--analyze=no-such-pass",
+    "-w",
+    "-Werror",
+    "-w --Werror",
+    "-Werror --analyze",
+    "-DN=8 -run",
+    "-O1 -unroll-factor=8 -run",
+    "-run -num-threads=3",
+    "-run --exec-engine=walker",
+    "-run -exec-engine=bytecode",
+    "-run --exec-engine=native",
+    "--run --exec-engine=tiered -fopenmp-enable-irbuilder -O1",
+};
+
+} // namespace
+
+TEST(ServiceParity, DiagnosticsMatchCompilerInstance) {
+  // One service for the whole table, so every row after the first is
+  // served through caches that earlier rows filled: a cached artifact
+  // must answer exactly as a fresh CompilerInstance does.
   ServiceOptions SO;
   SO.NumWorkers = 1;
   CompileService Service(SO);
-  CompileResult R = Service.compile(makeJob(Warns));
-  EXPECT_EQ(DirectOK, R.Succeeded);
-  EXPECT_EQ(CI.renderDiagnostics(), R.Diagnostics);
+  for (const char *Line : ParityFlagLines) {
+    for (std::size_t K = 0; K < std::size(ParityInputs); ++K) {
+      SCOPED_TRACE(std::string("flags '") + Line + "', input " +
+                   std::to_string(K));
+      CompileJob Job = makeJob(ParityInputs[K]);
+      std::string Error;
+      for (const std::string &W : splitJobWords(Line))
+        ASSERT_TRUE(parseJobFlagWord(W, Job, Error)) << Error;
+
+      CompilerInstance CI(Job.Options);
+      const bool DirectOK = CI.compileSource(Job.Source);
+      std::int64_t DirectExit = 0;
+      if (DirectOK && Job.Execute) {
+        rt::OpenMPRuntime::get().setDefaultNumThreads(
+            Job.Options.LangOpts.OpenMPDefaultNumThreads);
+        interp::ExecutionEngine EE(*CI.getIRModule(), Job.Options.ExecEngine);
+        DirectExit = EE.runFunction("main", {}).I;
+      }
+
+      CompileResult R = Service.compile(Job);
+      EXPECT_EQ(R.Succeeded, DirectOK);
+      EXPECT_EQ(R.Diagnostics, CI.renderDiagnostics());
+      EXPECT_EQ(R.Executed, DirectOK && Job.Execute);
+      if (R.Executed) {
+        EXPECT_EQ(R.ExitValue, DirectExit);
+      }
+    }
+  }
 }
