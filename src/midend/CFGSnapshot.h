@@ -17,7 +17,7 @@
 #define MCC_MIDEND_CFGSNAPSHOT_H
 
 #include "ir/IR.h"
-#include "midend/PtrIndex.h"
+#include "support/PtrIndex.h"
 
 #include <span>
 #include <vector>
