@@ -204,6 +204,11 @@ struct BytecodeModule {
   }
 };
 
+/// Fills \p F's Slots from its Code, ArgPool and frame layout: the live
+/// intervals, read counts and back-edge-weighted use counts described at
+/// SlotMeta. compileToBytecode runs it on every function it translates.
+void computeSlotMeta(BCFunction &F);
+
 /// Translates every defined function of \p M. The result is immutable,
 /// engine-independent and safe to share across engines and threads (L3
 /// compile-service artifacts cache it alongside the module).

@@ -1,4 +1,5 @@
 //===--- interp_test.cpp - Execution engine unit tests --------------------===//
+#include "interp/Bytecode.h"
 #include "interp/Interpreter.h"
 #include "irbuilder/OpenMPIRBuilder.h"
 #include "runtime/KMPRuntime.h"
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 #include <set>
 
 using namespace mcc::ir;
@@ -749,6 +751,141 @@ TEST(RuntimeTest, ThreadNumbersAreDense) {
       },
       5);
   EXPECT_EQ(Seen.size(), 5u);
+}
+
+/// computeSlotMeta as first written, for the ops makeRandomCode emits:
+/// every backward-branch range is tried against every interval until no
+/// interval grows.
+std::vector<bc::SlotMeta> slotMetaByFixpoint(const bc::BCFunction &F) {
+  const auto N = static_cast<std::uint32_t>(F.Code.size());
+  std::vector<bc::SlotMeta> Slots(F.NumFrame);
+  std::vector<bool> Touched(F.NumFrame, false);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> BackRanges;
+  std::vector<int> Depth(N + 1, 0);
+  for (std::uint32_t I = 0; I < N; ++I) {
+    const bc::Inst &In = F.Code[I];
+    std::vector<std::uint32_t> Targets;
+    if (In.Code == bc::Op::Jmp)
+      Targets = {In.A};
+    else if (In.Code == bc::Op::CondBr)
+      Targets = {In.B, In.C};
+    else if (In.Code == bc::Op::CmpBr)
+      Targets = {static_cast<std::uint32_t>(In.Imm & 0xffffffff),
+                 static_cast<std::uint32_t>(
+                     static_cast<std::uint64_t>(In.Imm) >> 32)};
+    for (std::uint32_t T : Targets)
+      if (T <= I) {
+        BackRanges.emplace_back(T, I);
+        for (std::uint32_t K = T; K <= I; ++K)
+          ++Depth[K];
+      }
+  }
+  for (std::uint32_t I = 0; I < N; ++I) {
+    const bc::Inst &In = F.Code[I];
+    auto Use = [&](std::uint32_t S, bool IsRead) {
+      bc::SlotMeta &M = Slots[S];
+      if (!Touched[S]) {
+        Touched[S] = true;
+        M.LiveBegin = M.LiveEnd = I;
+      }
+      M.Reads += IsRead;
+      M.LiveEnd = std::max(M.LiveEnd, I);
+      M.Weight += Depth[I] > 0 ? 16 : 1;
+    };
+    switch (In.Code) {
+    case bc::Op::Mov:
+      Use(In.A, false);
+      Use(In.B, true);
+      break;
+    case bc::Op::Add:
+    case bc::Op::CmpBr:
+      Use(In.A, false);
+      Use(In.B, true);
+      Use(In.C, true);
+      break;
+    case bc::Op::Store8:
+      Use(In.A, true);
+      Use(In.B, true);
+      break;
+    case bc::Op::CondBr:
+    case bc::Op::Ret:
+      Use(In.A, true);
+      break;
+    default:
+      break;
+    }
+  }
+  for (std::uint32_t S = 0; S < F.NumConsts + F.NumArgs; ++S)
+    if (Touched[S])
+      Slots[S].LiveBegin = 0;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const auto &[T, B] : BackRanges)
+      for (std::uint32_t S = 0; S < F.NumFrame; ++S) {
+        bc::SlotMeta &M = Slots[S];
+        if (Touched[S] && M.LiveBegin <= B && M.LiveEnd >= T &&
+            (M.LiveBegin > T || M.LiveEnd < B)) {
+          M.LiveBegin = std::min(M.LiveBegin, T);
+          M.LiveEnd = std::max(M.LiveEnd, B);
+          Changed = true;
+        }
+      }
+  }
+  return Slots;
+}
+
+/// A random instruction array over a 24-slot frame: moves, adds, stores,
+/// returns and branches to any instruction.
+bc::BCFunction makeRandomCode(std::mt19937_64 &Rng) {
+  bc::BCFunction F;
+  F.NumConsts = 3;
+  F.NumArgs = 2;
+  F.NumFrame = 24;
+  const auto N = static_cast<std::uint32_t>(1 + Rng() % 120);
+  auto Slot = [&] { return static_cast<std::uint32_t>(Rng() % F.NumFrame); };
+  auto Target = [&] { return static_cast<std::uint32_t>(Rng() % N); };
+  const bc::Op Ops[] = {bc::Op::Mov,    bc::Op::Add,   bc::Op::Store8,
+                        bc::Op::Ret,    bc::Op::Jmp,   bc::Op::CondBr,
+                        bc::Op::CmpBr};
+  for (std::uint32_t I = 0; I < N; ++I) {
+    bc::Inst In;
+    In.Code = Ops[Rng() % std::size(Ops)];
+    In.Sub = 1;
+    In.A = Slot();
+    In.B = Slot();
+    In.C = Slot();
+    if (In.Code == bc::Op::Jmp)
+      In.A = Target();
+    if (In.Code == bc::Op::CondBr) {
+      In.B = Target();
+      In.C = Target();
+    }
+    if (In.Code == bc::Op::CmpBr)
+      In.Imm = static_cast<std::int64_t>(
+          Target() | static_cast<std::uint64_t>(Target()) << 32);
+    F.Code.push_back(In);
+  }
+  return F;
+}
+
+TEST(BytecodeSlotMetaTest, SweepMatchesFixpointOnRandomCode) {
+  std::mt19937_64 Rng(2021);
+  for (int Round = 0; Round < 2000; ++Round) {
+    bc::BCFunction F = makeRandomCode(Rng);
+    const std::vector<bc::SlotMeta> Want = slotMetaByFixpoint(F);
+    bc::computeSlotMeta(F);
+    ASSERT_EQ(F.Slots.size(), Want.size());
+    for (std::uint32_t S = 0; S < F.NumFrame; ++S) {
+      SCOPED_TRACE("round " + std::to_string(Round) + ", slot " +
+                   std::to_string(S));
+      EXPECT_EQ(F.Slots[S].LiveBegin, Want[S].LiveBegin);
+      EXPECT_EQ(F.Slots[S].LiveEnd, Want[S].LiveEnd);
+      EXPECT_EQ(F.Slots[S].Reads, Want[S].Reads);
+      EXPECT_EQ(F.Slots[S].Weight, Want[S].Weight);
+    }
+    if (HasFailure())
+      return;
+  }
 }
 
 } // namespace
