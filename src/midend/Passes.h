@@ -24,7 +24,8 @@ unsigned runStoreForward(ir::Module &M);
 
 /// Promotes memory-resident scalars (globals and non-escaping allocas)
 /// into SSA registers across natural loops: load in the preheader, phis
-/// at the header and interior joins, writeback at the single exit.
+/// at the header and at the iterated dominance frontier of the loop's
+/// stores, writeback at the single exit.
 /// Restricted to call-free single-exit loops whose other memory traffic
 /// provably touches different objects; a loop that stores the scalar
 /// must do so on every iteration. Returns the number of (loop, scalar)
