@@ -16,8 +16,10 @@ set -eu
 BIN=$1; FUZZ=$2; COUNT=$3
 SMOKE=$(mktemp -d)
 DPID=
-# A failing check exits with the daemon still up: stop it too.
-trap '[ -z "$DPID" ] || kill "$DPID" 2>/dev/null; rm -rf "$SMOKE"' EXIT
+# A failing check exits with the daemon still up: stop it too. Under
+# set -e a failing command in the trap would end the script with its
+# status, so a kill that finds no daemon must not fail.
+trap '[ -z "$DPID" ] || kill "$DPID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 "$FUZZ" --seed=2021 --count="$COUNT" --quiet --dump-source > "$SMOKE/corpus.txt"
 awk -v dir="$SMOKE" '/^\/\/ seed=/{n++} n{print > (dir "/prog" n ".c")}' "$SMOKE/corpus.txt"
 : > "$SMOKE/jobs-parse.txt"; : > "$SMOKE/jobs-run.txt"
@@ -71,6 +73,7 @@ run_pass() {  # $1 = pass name
   [ "$1" != cold ] || hostile_leg
   "$BIN" --client --socket="$SMOKE/d.sock" --shutdown
   wait "$DPID"
+  DPID=
   for LEG in parse run; do
     VERDICTS=$(grep -c '^\[' "$SMOKE/$1-$LEG.txt" || true)
     [ "$VERDICTS" -eq "$COUNT" ] || {
