@@ -61,9 +61,18 @@ hostile_leg() {
     echo "hostile/include: the host file leaked into diagnostics" >&2; exit 1
   fi
 }
+# Both stats paths must give one JSON object with the service's and the
+# daemon's counters: the client's fetch over the socket, and the daemon's
+# own print at exit.
+check_stats() {  # $1 = JSON file
+  python3 -c 'import json, sys
+sys.exit(0 if {"service", "daemon"} <= json.load(open(sys.argv[1])).keys()
+         else 1)' "$1" || { echo "$1: bad stats JSON" >&2; exit 1; }
+}
 run_pass() {  # $1 = pass name
   "$BIN" --serve --socket="$SMOKE/d.sock" --jobs=2 \
-         --disk-store="$SMOKE/store" --disk-mb=64 &
+         --disk-store="$SMOKE/store" --disk-mb=64 --stats=json \
+         > "$SMOKE/$1-daemon-stats.json" &
   DPID=$!
   for i in $(seq 100); do [ -S "$SMOKE/d.sock" ] && break; sleep 0.1; done
   "$BIN" --client --socket="$SMOKE/d.sock" "$SMOKE/jobs-parse.txt" \
@@ -71,9 +80,13 @@ run_pass() {  # $1 = pass name
   "$BIN" --client --socket="$SMOKE/d.sock" "$SMOKE/jobs-run.txt" \
     > "$SMOKE/$1-run.txt" || true
   [ "$1" != cold ] || hostile_leg
+  "$BIN" --client --socket="$SMOKE/d.sock" --stats=json \
+    > "$SMOKE/$1-client-stats.json"
   "$BIN" --client --socket="$SMOKE/d.sock" --shutdown
   wait "$DPID"
   DPID=
+  check_stats "$SMOKE/$1-client-stats.json"
+  check_stats "$SMOKE/$1-daemon-stats.json"
   for LEG in parse run; do
     VERDICTS=$(grep -c '^\[' "$SMOKE/$1-$LEG.txt" || true)
     [ "$VERDICTS" -eq "$COUNT" ] || {

@@ -24,9 +24,9 @@
 //===----------------------------------------------------------------------===//
 #include "fuzz/Fuzz.h"
 #include "runtime/KMPRuntime.h"
+#include "support/StrictParse.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -53,15 +53,6 @@ void printUsage() {
                "  --quiet            no progress output\n");
 }
 
-bool parseU64(const std::string &Arg, const char *Prefix,
-              std::uint64_t &Out) {
-  std::size_t Len = std::strlen(Prefix);
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = std::strtoull(Arg.c_str() + Len, nullptr, 10);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -72,9 +63,14 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (parseU64(Arg, "--seed=", Seed) || parseU64(Arg, "--count=", Count))
-      continue;
-    if (Arg.rfind("--gen=", 0) == 0) {
+    std::string Error;
+    if (parseNumericFlag(Arg, "--seed=", 0, UINT64_MAX, Seed, Error) ||
+        parseNumericFlag(Arg, "--count=", 0, UINT64_MAX, Count, Error)) {
+      if (!Error.empty()) {
+        std::fprintf(stderr, "minicc-fuzz: %s\n", Error.c_str());
+        return 1;
+      }
+    } else if (Arg.rfind("--gen=", 0) == 0) {
       std::string Name = Arg.substr(std::strlen("--gen="));
       if (Name == "all")
         Mode = fuzz::GenMode::All;
@@ -131,11 +127,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (std::string EnvErr = interp::execEngineEnvError(); !EnvErr.empty()) {
-    std::fprintf(stderr, "minicc-fuzz: %s\n", EnvErr.c_str());
-    return 1;
-  }
-  if (std::string EnvErr = interp::jitEnvError(); !EnvErr.empty()) {
+  if (std::string EnvErr = interp::environmentError(); !EnvErr.empty()) {
     std::fprintf(stderr, "minicc-fuzz: %s\n", EnvErr.c_str());
     return 1;
   }

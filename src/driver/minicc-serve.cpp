@@ -12,7 +12,7 @@
 //    protocol (src/net) to any number of concurrent clients, with
 //    admission control (bounded queue, per-client quotas, fair
 //    round-robin). SIGINT/SIGTERM or the protocol's shutdown verb drain
-//    in-flight jobs, flush the disk store index, and print final stats.
+//    in-flight jobs and flush the disk store index.
 //
 //  * Client (--client): submits a job file to a running daemon over the
 //    socket, keeping a bounded window in flight, retrying typed
@@ -25,7 +25,8 @@
 //     --disk-store=DIR        on-disk artifact store root (persistence)
 //     --disk-mb=N             disk store budget in MiB (default 1024)
 //     --repeat=N              submit the whole job list N times (default 1)
-//     --service-stats[=json]  print service statistics after the run
+//     --stats[=json]          print statistics when done: this process's
+//                             (inline, daemon) or the daemon's (client)
 //     --quiet                 verdict lines only on failure
 //   daemon mode:
 //     --serve --socket=PATH   serve the framed protocol on PATH
@@ -35,7 +36,6 @@
 //   client mode:
 //     --client --socket=PATH [jobfile]
 //     --window=N              max jobs in flight (default 16)
-//     --stats[=json]          fetch daemon statistics after the batch
 //     --shutdown              ask the daemon to drain and exit
 //
 // Job spec grammar (one job per line; '#' starts a comment):
@@ -48,15 +48,17 @@
 #include "net/Server.h"
 #include "service/CompileService.h"
 #include "service/JobSpec.h"
+#include "support/StrictParse.h"
 
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -79,7 +81,8 @@ void printUsage() {
       "  --disk-store=DIR        on-disk artifact store root\n"
       "  --disk-mb=N             disk store budget MiB (default 1024)\n"
       "  --repeat=N              submit the job list N times (default 1)\n"
-      "  --service-stats[=json]  print service statistics after the run\n"
+      "  --stats[=json]          print statistics when done: this process's\n"
+      "                          (inline, daemon) or the daemon's (client)\n"
       "  --quiet                 only print failing jobs\n"
       "daemon mode:\n"
       "  --serve --socket=PATH   serve the framed protocol on PATH\n"
@@ -89,19 +92,10 @@ void printUsage() {
       "client mode:\n"
       "  --client --socket=PATH [jobfile]\n"
       "  --window=N              max jobs in flight (default 16)\n"
-      "  --stats[=json]          fetch daemon statistics after the batch\n"
       "  --shutdown              ask the daemon to drain and exit\n"
       "job spec: one per line: [flags...] <file>\n"
       "%s",
       svc::jobFlagHelp().c_str());
-}
-
-bool parseU64(const std::string &Arg, const char *Prefix, std::uint64_t &Out) {
-  std::size_t Len = std::strlen(Prefix);
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = std::strtoull(Arg.c_str() + Len, nullptr, 10);
-  return true;
 }
 
 /// Parses one job-spec line and loads the file operand's bytes. Returns
@@ -141,13 +135,10 @@ struct Options {
   net::ServerOptions Net;
   std::uint64_t Repeat = 1;
   std::uint64_t Window = 16;
-  bool ShowStats = false;
-  bool StatsJSON = false;
+  std::optional<stats::Format> Stats;
   bool Quiet = false;
   bool Serve = false;
   bool ClientMode = false;
-  bool ClientStats = false;
-  bool ClientStatsJSON = false;
   bool ClientShutdown = false;
   std::string JobFile;
 };
@@ -225,10 +216,11 @@ int runInline(const Options &O) {
   }
 
   Service.shutdown();
-  if (O.ShowStats)
-    std::fputs((O.StatsJSON ? Service.renderStatsJSON() : Service.renderStats())
-                   .c_str(),
-               stdout);
+  if (O.Stats)
+    std::fputs(
+        stats::render({svc::statsComponent(Service.statsSnapshot())}, *O.Stats)
+            .c_str(),
+        stdout);
   return Failures == 0 ? 0 : 1;
 }
 
@@ -266,7 +258,9 @@ int runDaemon(const Options &O) {
   std::fprintf(stderr, "minicc-serve: draining...\n");
   Server.shutdown();
   Service.shutdown(); // flushes the disk store index
-  std::fputs(Server.renderStats(O.StatsJSON).c_str(), stdout);
+  if (O.Stats)
+    std::fputs(stats::render(Server.statsComponents(), *O.Stats).c_str(),
+               stdout);
   return 0;
 }
 
@@ -420,8 +414,8 @@ int runClient(const Options &O) {
     }
   }
 
-  if (O.ClientStats) {
-    if (!Client.requestStats(O.ClientStatsJSON)) {
+  if (O.Stats) {
+    if (!Client.requestStats(*O.Stats == stats::Format::JSON)) {
       std::fprintf(stderr, "minicc-serve: lost connection to daemon\n");
       return 1;
     }
@@ -459,23 +453,30 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    std::string Error;
     std::uint64_t N = 0;
-    if (parseU64(Arg, "--jobs=", N))
+    if (parseNumericFlag(Arg, "--jobs=", 0, UINT_MAX, N, Error))
       O.Svc.NumWorkers = static_cast<unsigned>(N);
-    else if (parseU64(Arg, "--cache-mb=", N))
+    else if (parseNumericFlag(Arg, "--cache-mb=", 0, SIZE_MAX >> 20, N, Error))
       O.Svc.CacheBudgetBytes = static_cast<std::size_t>(N) << 20;
-    else if (parseU64(Arg, "--disk-mb=", N))
+    else if (parseNumericFlag(Arg, "--disk-mb=", 0, SIZE_MAX >> 20, N, Error))
       O.Svc.DiskBudgetBytes = static_cast<std::size_t>(N) << 20;
     else if (Arg.rfind("--disk-store=", 0) == 0)
       O.Svc.DiskStorePath = Arg.substr(std::strlen("--disk-store="));
-    else if (parseU64(Arg, "--repeat=", O.Repeat) ||
-             parseU64(Arg, "--window=", O.Window))
+    else if (parseNumericFlag(Arg, "--repeat=", 0, UINT64_MAX, O.Repeat,
+                              Error))
       ;
-    else if (parseU64(Arg, "--max-pending=", N))
+    // A window, queue bound or quota of 0 admits no job at all: the client
+    // would wait forever and the daemon would refuse every submit.
+    else if (parseNumericFlag(Arg, "--window=", 1, UINT64_MAX, O.Window,
+                              Error))
+      ;
+    else if (parseNumericFlag(Arg, "--max-pending=", 1, UINT_MAX, N, Error))
       O.Net.MaxPendingJobs = static_cast<unsigned>(N);
-    else if (parseU64(Arg, "--per-client-inflight=", N))
+    else if (parseNumericFlag(Arg, "--per-client-inflight=", 1, UINT_MAX, N,
+                              Error))
       O.Net.PerClientInFlight = static_cast<unsigned>(N);
-    else if (parseU64(Arg, "--max-dispatched=", N))
+    else if (parseNumericFlag(Arg, "--max-dispatched=", 0, UINT_MAX, N, Error))
       O.Net.MaxDispatched = static_cast<unsigned>(N);
     else if (Arg.rfind("--socket=", 0) == 0)
       O.Net.SocketPath = Arg.substr(std::strlen("--socket="));
@@ -483,17 +484,11 @@ int main(int argc, char **argv) {
       O.Serve = true;
     else if (Arg == "--client")
       O.ClientMode = true;
-    else if (Arg == "--service-stats")
-      O.ShowStats = true;
-    else if (Arg == "--service-stats=json") {
-      O.ShowStats = true;
-      O.StatsJSON = true;
-    } else if (Arg == "--stats")
-      O.ClientStats = true;
-    else if (Arg == "--stats=json") {
-      O.ClientStats = true;
-      O.ClientStatsJSON = true;
-    } else if (Arg == "--shutdown")
+    else if (Arg == "--stats")
+      O.Stats = stats::Format::Text;
+    else if (Arg == "--stats=json")
+      O.Stats = stats::Format::JSON;
+    else if (Arg == "--shutdown")
       O.ClientShutdown = true;
     else if (Arg == "--quiet")
       O.Quiet = true;
@@ -507,6 +502,10 @@ int main(int argc, char **argv) {
       return 1;
     } else
       O.JobFile = Arg;
+    if (!Error.empty()) {
+      std::fprintf(stderr, "minicc-serve: %s\n", Error.c_str());
+      return 1;
+    }
   }
 
   if (O.Serve && O.ClientMode) {
@@ -519,16 +518,11 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  if (!O.ClientMode) {
-    if (std::string EnvErr = interp::execEngineEnvError(); !EnvErr.empty()) {
+  if (!O.ClientMode)
+    if (std::string EnvErr = interp::environmentError(); !EnvErr.empty()) {
       std::fprintf(stderr, "minicc-serve: %s\n", EnvErr.c_str());
       return 1;
     }
-    if (std::string EnvErr = interp::jitEnvError(); !EnvErr.empty()) {
-      std::fprintf(stderr, "minicc-serve: %s\n", EnvErr.c_str());
-      return 1;
-    }
-  }
 
   if (O.Serve)
     return runDaemon(O);

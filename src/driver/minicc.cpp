@@ -8,19 +8,22 @@
 // is a word of the job grammar in service/JobSpec.h, parsed by the same
 // svc::parseJobFlagWord that reads minicc-serve job lines and daemon
 // submits. This file parses only the driver's own words: what to print
-// (-ast-dump[-shadow], -emit-ir, --rt-stats, --exec-stats[=json]), where
-// to stop (-syntax-only), the include path (-I <dir>, which only minicc
-// honours: service jobs read no file but their own source) and -h.
+// (-ast-dump[-shadow], -emit-ir, --stats[=json]), where to stop
+// (-syntax-only), the include path (-I <dir>, which only minicc honours:
+// service jobs read no file but their own source) and -h.
 //
 //===----------------------------------------------------------------------===//
 #include "driver/CompilerInstance.h"
 #include "interp/Interpreter.h"
 #include "runtime/KMPRuntime.h"
 #include "service/JobSpec.h"
+#include "support/Stats.h"
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 using namespace mcc;
 
@@ -36,14 +39,8 @@ void printUsage() {
       "  -emit-ir                    print generated IR\n"
       "  -syntax-only                stop after Sema\n"
       "  -I <dir>                    include search directory\n"
-      "  --rt-stats                  print OpenMP runtime counters (forks,\n"
-      "                              team reuses, chunks, barrier wakes)\n"
-      "                              to stderr after -run\n"
-      "  --exec-stats                print execution engine counters\n"
-      "                              (translation, dispatch mode,\n"
-      "                              instructions, superinstruction hits)\n"
-      "                              to stderr after -run\n"
-      "  --exec-stats=json           same counters as one JSON object\n"
+      "  --stats[=json]              print mid-end counters (and after -run\n"
+      "                              engine and runtime ones) to stderr\n"
       "%s",
       svc::jobFlagHelp().c_str());
 }
@@ -53,8 +50,8 @@ void printUsage() {
 int main(int argc, char **argv) {
   svc::CompileJob Job;
   bool ASTDump = false, ASTDumpShadow = false, EmitIR = false,
-       SyntaxOnly = false, RTStats = false, ExecStats = false,
-       ExecStatsJSON = false;
+       SyntaxOnly = false;
+  std::optional<stats::Format> Stats;
   std::string InputFile;
 
   for (int I = 1; I < argc; ++I) {
@@ -70,12 +67,10 @@ int main(int argc, char **argv) {
       EmitIR = true;
     else if (W == "-syntax-only")
       SyntaxOnly = true;
-    else if (W == "-rt-stats")
-      RTStats = true;
-    else if (W == "-exec-stats")
-      ExecStats = true;
-    else if (W == "-exec-stats=json")
-      ExecStats = ExecStatsJSON = true;
+    else if (W == "-stats")
+      Stats = stats::Format::Text;
+    else if (W == "-stats=json")
+      Stats = stats::Format::JSON;
     else if (W == "-I" && I + 1 < argc)
       Job.Options.IncludeDirs.emplace_back(argv[++I]);
     else if (W == "-h" || W == "-help") {
@@ -93,22 +88,13 @@ int main(int argc, char **argv) {
   }
   const CompilerOptions &Options = Job.Options;
 
+  if (std::string EnvErr = interp::environmentError(); !EnvErr.empty()) {
+    std::fprintf(stderr, "minicc: %s\n", EnvErr.c_str());
+    return 1;
+  }
   if (InputFile.empty()) {
     std::fprintf(stderr, "minicc: error: no input files\n");
     printUsage();
-    return 1;
-  }
-
-  // A typo'd MCC_EXEC_ENGINE must fail as loudly as a typo'd
-  // --exec-engine= flag, not silently run the default engine.
-  if (std::string EnvErr = interp::execEngineEnvError(); !EnvErr.empty()) {
-    std::fprintf(stderr, "minicc: %s\n", EnvErr.c_str());
-    return 1;
-  }
-  // Same loudness for the native-tier knobs (thresholds, forced-fallback
-  // op): the engine keeps its defaults on garbage, the driver refuses it.
-  if (std::string EnvErr = interp::jitEnvError(); !EnvErr.empty()) {
-    std::fprintf(stderr, "minicc: %s\n", EnvErr.c_str());
     return 1;
   }
 
@@ -124,8 +110,11 @@ int main(int argc, char **argv) {
     std::string Out = dumpToString(CI.getTranslationUnit(), ASTDumpShadow);
     std::fputs(Out.c_str(), stdout);
   }
-  if (SyntaxOnly)
+  if (SyntaxOnly) {
+    if (Stats) // nothing ran that counts; JSON readers still get an object
+      std::fputs(stats::render({}, *Stats).c_str(), stderr);
     return 0;
+  }
 
   if (!CI.emitIR()) {
     std::fputs(CI.renderDiagnostics().c_str(), stderr);
@@ -135,11 +124,11 @@ int main(int argc, char **argv) {
   if (EmitIR)
     std::fputs(CI.getIRText().c_str(), stdout);
 
+  std::vector<stats::Component> Components{
+      midend::statsComponent(CI.getMidendStats())};
   if (Job.Execute) {
     rt::OpenMPRuntime &RT = rt::OpenMPRuntime::get();
     RT.setDefaultNumThreads(Options.LangOpts.OpenMPDefaultNumThreads);
-    if (RTStats)
-      RT.resetStats();
     interp::ExecutionEngine EE(*CI.getIRModule(), Options.ExecEngine);
     const ir::Function *Main = CI.getIRModule()->getFunction("main");
     if (!Main || Main->isDeclaration()) {
@@ -155,15 +144,13 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "minicc: runtime error: %s\n", Ex.what());
       return 1;
     }
-    if (RTStats)
-      std::fputs(RT.renderStats().c_str(), stderr);
-    if (ExecStats)
-      std::fputs(ExecStatsJSON ? EE.renderExecStatsJSON().c_str()
-                               : EE.renderExecStats().c_str(),
-                 stderr);
+    Components.push_back(interp::statsComponent(EE.statsSnapshot()));
+    Components.push_back(rt::statsComponent(RT.statsSnapshot()));
     // Park nothing across exit: join the hot-team pool so process
     // teardown (and TSan) never races worker shutdown.
     RT.shutdown();
   }
+  if (Stats)
+    std::fputs(stats::render(Components, *Stats).c_str(), stderr);
   return 0;
 }

@@ -13,11 +13,10 @@
 #include "interp/InterpOps.h"
 #include "interp/JITTier.h" // complete JITState for the engine destructor
 #include "runtime/KMPRuntime.h"
-#include "support/JSONWriter.h"
+#include "support/StrictParse.h"
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -64,26 +63,28 @@ const char *execEngineKindName(ExecEngineKind K) {
   return "?";
 }
 
+namespace {
+
+std::optional<ExecEngineKind> execEngineFromEnv(std::string *Error) {
+  return readEnv<ExecEngineKind>("MCC_EXEC_ENGINE", parseExecEngineKind,
+                                 "walker, bytecode, native, or tiered",
+                                 Error);
+}
+
+} // namespace
+
 ExecEngineKind resolveExecEngineKind(ExecEngineKind K) {
   if (K != ExecEngineKind::Default)
     return K;
-  if (const char *Env = std::getenv("MCC_EXEC_ENGINE")) {
-    ExecEngineKind FromEnv;
-    if (parseExecEngineKind(Env, FromEnv))
-      return FromEnv;
-  }
-  return ExecEngineKind::Bytecode;
+  return execEngineFromEnv(nullptr).value_or(ExecEngineKind::Bytecode);
 }
 
-std::string execEngineEnvError() {
-  const char *Env = std::getenv("MCC_EXEC_ENGINE");
-  if (!Env)
-    return {};
-  ExecEngineKind K;
-  if (parseExecEngineKind(Env, K))
-    return {};
-  return std::string("invalid MCC_EXEC_ENGINE value '") + Env +
-         "' (expected walker, bytecode, native, or tiered)";
+std::string environmentError() {
+  std::string Error;
+  (void)execEngineFromEnv(&Error);
+  (void)readJITKnobs(&Error);
+  (void)rt::OpenMPRuntime::readEnvKnobs(&Error);
+  return Error;
 }
 
 ExecutionEngine::ExecutionEngine(
@@ -256,107 +257,24 @@ ExecStats ExecutionEngine::statsSnapshot() const {
     S.Dispatch = "tree-walk";
     S.FunctionsPrepared = Infos.size();
   }
-  S.InstructionsExecuted =
-      InstructionsExecuted.load(std::memory_order_relaxed);
-  S.SuperinstHits = SuperinstHits.load(std::memory_order_relaxed);
-  S.FramesExecuted = FramesExecuted.load(std::memory_order_relaxed);
-  S.RuntimeCalls = RuntimeCalls.load(std::memory_order_relaxed);
-  S.JITFunctionsCompiled = JITCompiled.load(std::memory_order_relaxed);
-  S.JITCodeBytes = JITCodeBytes.load(std::memory_order_relaxed);
-  S.JITOSRPromotions = JITOSRPromotions.load(std::memory_order_relaxed);
-  S.JITFallbacks = JITFallbackFns.load(std::memory_order_relaxed);
-  S.JITNativeFrames = JITNativeFrames.load(std::memory_order_relaxed);
-  S.JITRegAllocSlots = JITRegAllocSlots.load(std::memory_order_relaxed);
-  S.JITSpills = JITSpillSites.load(std::memory_order_relaxed);
-  S.JITFusedTemplates = JITFusedTemplates.load(std::memory_order_relaxed);
-  S.JITDirectCallSites =
-      JITDirectCallSites.load(std::memory_order_relaxed);
+#define EXEC_COUNTER(Group, Name, Field)                                       \
+  S.Field = Field.load(std::memory_order_relaxed);
+#include "interp/ExecStats.def"
   return S;
 }
 
-std::string ExecutionEngine::renderExecStats() const {
-  ExecStats S = statsSnapshot();
-  char Buf[1024];
-  int Len = std::snprintf(
-      Buf, sizeof(Buf),
-      "== execution engine statistics ==\n"
-      "engine:    %s dispatch=%s\n"
-      "translate: functions=%llu bytecode-bytes=%llu superinsts=%llu "
-      "source=%s\n"
-      "execute:   instructions=%llu superinst-hits=%llu frames=%llu "
-      "runtime-calls=%llu\n",
-      execEngineKindName(S.Engine), S.Dispatch,
-      static_cast<unsigned long long>(S.FunctionsPrepared),
-      static_cast<unsigned long long>(S.BytecodeBytes),
-      static_cast<unsigned long long>(S.SuperinstsEmitted),
-      S.Engine == ExecEngineKind::Walker ? "n/a"
-      : S.TranslatedHere                 ? "translated"
-                                         : "precompiled",
-      static_cast<unsigned long long>(S.InstructionsExecuted),
-      static_cast<unsigned long long>(S.SuperinstHits),
-      static_cast<unsigned long long>(S.FramesExecuted),
-      static_cast<unsigned long long>(S.RuntimeCalls));
-  if ((S.Engine == ExecEngineKind::Native ||
-       S.Engine == ExecEngineKind::Tiered) &&
-      Len > 0 && static_cast<std::size_t>(Len) < sizeof(Buf))
-    std::snprintf(
-        Buf + Len, sizeof(Buf) - static_cast<std::size_t>(Len),
-        "jit:       compiled=%llu code-bytes=%llu fallbacks=%llu "
-        "native-frames=%llu osr-promotions=%llu regalloc-slots=%llu "
-        "spills=%llu fused-templates=%llu direct-calls=%llu\n",
-        static_cast<unsigned long long>(S.JITFunctionsCompiled),
-        static_cast<unsigned long long>(S.JITCodeBytes),
-        static_cast<unsigned long long>(S.JITFallbacks),
-        static_cast<unsigned long long>(S.JITNativeFrames),
-        static_cast<unsigned long long>(S.JITOSRPromotions),
-        static_cast<unsigned long long>(S.JITRegAllocSlots),
-        static_cast<unsigned long long>(S.JITSpills),
-        static_cast<unsigned long long>(S.JITFusedTemplates),
-        static_cast<unsigned long long>(S.JITDirectCallSites));
-  return Buf;
-}
-
-std::string ExecutionEngine::renderExecStatsJSON() const {
-  ExecStats S = statsSnapshot();
-  std::string Out;
-  json::Writer W(Out);
-  W.beginObject();
-  W.field("engine", execEngineKindName(S.Engine));
-  W.field("dispatch", S.Dispatch);
-  W.key("translate");
-  W.beginObject();
-  W.field("functions", S.FunctionsPrepared);
-  W.field("bytecode_bytes", S.BytecodeBytes);
-  W.field("superinsts", S.SuperinstsEmitted);
-  W.field("source", S.Engine == ExecEngineKind::Walker ? "n/a"
-                    : S.TranslatedHere                 ? "translated"
-                                                       : "precompiled");
-  W.endObject();
-  W.key("execute");
-  W.beginObject();
-  W.field("instructions", S.InstructionsExecuted);
-  W.field("superinst_hits", S.SuperinstHits);
-  W.field("frames", S.FramesExecuted);
-  W.field("runtime_calls", S.RuntimeCalls);
-  W.endObject();
-  if (S.Engine == ExecEngineKind::Native ||
-      S.Engine == ExecEngineKind::Tiered) {
-    W.key("jit");
-    W.beginObject();
-    W.field("compiled", S.JITFunctionsCompiled);
-    W.field("code_bytes", S.JITCodeBytes);
-    W.field("fallbacks", S.JITFallbacks);
-    W.field("native_frames", S.JITNativeFrames);
-    W.field("osr_promotions", S.JITOSRPromotions);
-    W.field("regalloc_slots", S.JITRegAllocSlots);
-    W.field("spills", S.JITSpills);
-    W.field("fused_templates", S.JITFusedTemplates);
-    W.field("direct_calls", S.JITDirectCallSites);
-    W.endObject();
-  }
-  W.endObject();
-  Out += '\n';
-  return Out;
+stats::Component statsComponent(const ExecStats &S) {
+  stats::Component C{"exec", {}};
+  C.addLabel("engine", "kind", execEngineKindName(S.Engine));
+  C.addLabel("engine", "dispatch", S.Dispatch);
+  C.addLabel("engine", "source",
+             S.Engine == ExecEngineKind::Walker ? "n/a"
+             : S.TranslatedHere                 ? "translated"
+                                                : "precompiled");
+#define EXEC_GAUGE(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#define EXEC_COUNTER(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#include "interp/ExecStats.def"
+  return C;
 }
 
 RTValue ExecutionEngine::callRuntime(const std::string &Name,

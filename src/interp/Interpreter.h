@@ -28,6 +28,7 @@
 
 #include "interp/Bytecode.h"
 #include "ir/IR.h"
+#include "support/Stats.h"
 
 #include <atomic>
 #include <functional>
@@ -90,45 +91,24 @@ bool parseExecEngineKind(std::string_view Name, ExecEngineKind &Out);
 const char *execEngineKindName(ExecEngineKind K);
 /// Resolves Default against MCC_EXEC_ENGINE; identity otherwise.
 ExecEngineKind resolveExecEngineKind(ExecEngineKind K);
-/// Non-empty diagnostic when MCC_EXEC_ENGINE is set to an unrecognized
-/// name. resolveExecEngineKind() stays permissive (library users get the
-/// default engine); drivers call this at startup so a typo'd environment
-/// fails as loudly as a typo'd --exec-engine= flag.
-std::string execEngineEnvError();
-/// Same contract for the native-tier knobs: non-empty diagnostic when
-/// MCC_JIT_CALL_THRESHOLD / MCC_JIT_OSR_THRESHOLD is not a positive
-/// 32-bit decimal or MCC_JIT_FORCE_FALLBACK_OP names no bytecode op.
-/// The engine itself stays permissive and keeps its defaults.
-std::string jitEnvError();
+/// Reads every MCC_* variable (MCC_EXEC_ENGINE, MCC_JIT_*, MCC_RT_*)
+/// through its component's reader: empty, or a message naming the first
+/// bad one. Drivers refuse to start on it; the components keep defaults.
+std::string environmentError();
 
-/// Point-in-time execution statistics (see renderExecStats()).
+/// Point-in-time execution statistics; the numeric fields are the rows of
+/// ExecStats.def.
 struct ExecStats {
   ExecEngineKind Engine = ExecEngineKind::Walker;
   const char *Dispatch = "tree-walk";
-  std::uint64_t FunctionsPrepared = 0;
   bool TranslatedHere = false; ///< false: bytecode came precompiled (L3 hit)
-  std::uint64_t BytecodeBytes = 0;
-  std::uint64_t SuperinstsEmitted = 0;
-  std::uint64_t InstructionsExecuted = 0;
-  std::uint64_t SuperinstHits = 0;
-  std::uint64_t FramesExecuted = 0;
-  std::uint64_t RuntimeCalls = 0;
-  // Native-tier counters (zero unless the engine is Native or Tiered).
-  // Native frames do not contribute to InstructionsExecuted — machine
-  // code does not count bytecode steps.
-  std::uint64_t JITFunctionsCompiled = 0;
-  std::uint64_t JITCodeBytes = 0;
-  std::uint64_t JITOSRPromotions = 0;
-  std::uint64_t JITFallbacks = 0; ///< functions kept on bytecode
-  std::uint64_t JITNativeFrames = 0;
-  std::uint64_t JITRegAllocSlots = 0;  ///< frame slots promoted to registers
-  std::uint64_t JITSpills = 0;         ///< spill/reload sites emitted
-  std::uint64_t JITFusedTemplates = 0; ///< fused native templates + peepholes
-  /// CallBC sites compiled with an inline native→native fast path. A
-  /// compile-time count: each site also keeps its helper slow path for
-  /// not-yet-compiled callees, so this counts patched sites, not calls.
-  std::uint64_t JITDirectCallSites = 0;
+#define EXEC_GAUGE(Group, Name, Field) std::uint64_t Field = 0;
+#define EXEC_COUNTER(Group, Name, Field) std::uint64_t Field = 0;
+#include "interp/ExecStats.def"
 };
+
+/// The engine's rows for the stats writer (support/Stats.h).
+stats::Component statsComponent(const ExecStats &S);
 
 class ExecutionEngine {
 public:
@@ -164,10 +144,6 @@ public:
   [[nodiscard]] ExecEngineKind getKind() const { return Kind; }
 
   [[nodiscard]] ExecStats statsSnapshot() const;
-  /// Renders statsSnapshot() in the --rt-stats block style.
-  [[nodiscard]] std::string renderExecStats() const;
-  /// Renders statsSnapshot() as a single JSON object (--exec-stats=json).
-  [[nodiscard]] std::string renderExecStatsJSON() const;
 
   /// Quiesces the shared OpenMP runtime: joins the hot-team worker pool
   /// and zeroes its counters. Tests that assert exact runtime statistics
@@ -245,19 +221,8 @@ private:
   bool OSRActive = false;
   std::uint32_t OSRThreshold = 0;
 
-  std::atomic<std::uint64_t> InstructionsExecuted{0};
-  std::atomic<std::uint64_t> SuperinstHits{0};
-  std::atomic<std::uint64_t> FramesExecuted{0};
-  std::atomic<std::uint64_t> RuntimeCalls{0};
-  std::atomic<std::uint64_t> JITCompiled{0};
-  std::atomic<std::uint64_t> JITCodeBytes{0};
-  std::atomic<std::uint64_t> JITFallbackFns{0};
-  std::atomic<std::uint64_t> JITOSRPromotions{0};
-  std::atomic<std::uint64_t> JITNativeFrames{0};
-  std::atomic<std::uint64_t> JITRegAllocSlots{0};
-  std::atomic<std::uint64_t> JITSpillSites{0};
-  std::atomic<std::uint64_t> JITFusedTemplates{0};
-  std::atomic<std::uint64_t> JITDirectCallSites{0};
+#define EXEC_COUNTER(Group, Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "interp/ExecStats.def"
 };
 
 } // namespace mcc::interp

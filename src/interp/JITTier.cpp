@@ -17,52 +17,37 @@
 
 #include "interp/FrameStack.h"
 #include "interp/InterpOps.h"
+#include "support/StrictParse.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 namespace mcc::interp {
 
-namespace {
-
-std::uint32_t envU32(const char *Name, std::uint32_t Def) {
-  if (const char *V = std::getenv(Name)) {
-    char *End = nullptr;
-    unsigned long N = std::strtoul(V, &End, 10);
-    if (End && *End == '\0' && N > 0 && N <= 0xffffffffUL)
-      return static_cast<std::uint32_t>(N);
-  }
-  return Def;
-}
-
-/// True when \p V is a complete positive decimal that fits u32 — exactly
-/// the inputs envU32 accepts. Anything else is a typo worth diagnosing.
-bool validEnvU32(const char *V) {
-  char *End = nullptr;
-  unsigned long N = std::strtoul(V, &End, 10);
-  return End && End != V && *End == '\0' && N > 0 && N <= 0xffffffffUL;
-}
-
-} // namespace
-
-std::string jitEnvError() {
-  for (const char *Name : {"MCC_JIT_CALL_THRESHOLD", "MCC_JIT_OSR_THRESHOLD"})
-    if (const char *V = std::getenv(Name))
-      if (!validEnvU32(V))
-        return std::string(Name) + "='" + V +
-               "' is not a positive 32-bit integer";
-  if (const char *V = std::getenv("MCC_JIT_FORCE_FALLBACK_OP")) {
-    bc::Op O;
-    if (!jit::parseOpName(V, O))
-      return std::string("MCC_JIT_FORCE_FALLBACK_OP='") + V +
-             "' names no bytecode op (see opName in jit/JIT.h)";
-  }
-  if (const char *V = std::getenv("MCC_JIT_DIRECT_CALLS"))
-    if (std::strcmp(V, "0") != 0 && std::strcmp(V, "1") != 0)
-      return std::string("MCC_JIT_DIRECT_CALLS='") + V +
-             "' (expected 0 or 1)";
-  return {};
+JITKnobs readJITKnobs(std::string *Error) {
+  // Zero would divide the tier's hotness counts by zero.
+  auto PositiveU32 = [](std::string_view V, std::uint32_t &Out) {
+    std::uint64_t N = 0;
+    if (!parseDecimal(V, UINT32_MAX, N) || N == 0)
+      return false;
+    Out = static_cast<std::uint32_t>(N);
+    return true;
+  };
+  JITKnobs K;
+  K.CallThreshold = readEnv<std::uint32_t>("MCC_JIT_CALL_THRESHOLD",
+                                           PositiveU32,
+                                           "a positive 32-bit integer", Error)
+                        .value_or(K.CallThreshold);
+  K.OSRThreshold = readEnv<std::uint32_t>("MCC_JIT_OSR_THRESHOLD", PositiveU32,
+                                          "a positive 32-bit integer", Error)
+                       .value_or(K.OSRThreshold);
+  K.ForceFallback = readEnv<bc::Op>(
+      "MCC_JIT_FORCE_FALLBACK_OP", jit::parseOpName,
+      "a bytecode op name, see opName in jit/JIT.h", Error);
+  K.DirectCalls =
+      readEnv<bool>("MCC_JIT_DIRECT_CALLS", parseBit, "0 or 1", Error)
+          .value_or(K.DirectCalls);
+  return K;
 }
 
 //===----------------------------------------------------------------------===//
@@ -192,13 +177,11 @@ struct JITHelpers {
 
 void ExecutionEngine::initJITTier() {
   JIT = std::make_unique<JITState>(BCMod->Functions.size());
-  JIT->CallThreshold = envU32("MCC_JIT_CALL_THRESHOLD", 16);
-  OSRThreshold = envU32("MCC_JIT_OSR_THRESHOLD", 1024);
-  if (const char *V = std::getenv("MCC_JIT_FORCE_FALLBACK_OP")) {
-    bc::Op O;
-    if (jit::parseOpName(V, O))
-      JIT->Opts.ForceUnsupported = O;
-  }
+  const JITKnobs Knobs = readJITKnobs(nullptr);
+  JIT->CallThreshold = Knobs.CallThreshold;
+  OSRThreshold = Knobs.OSRThreshold;
+  if (Knobs.ForceFallback)
+    JIT->Opts.ForceUnsupported = *Knobs.ForceFallback;
   jit::JITHostOps &Ops = JIT->HostOps;
   Ops.Fns[jit::HelperCallBC] = &JITHelpers::callBC;
   Ops.Fns[jit::HelperCallRT] = &JITHelpers::callRT;
@@ -214,8 +197,7 @@ void ExecutionEngine::initJITTier() {
   // through the host helper — the baseline the direct-call speedup is
   // measured against, and a useful bisection point when a call-related
   // miscompile is suspected.
-  const char *DC = std::getenv("MCC_JIT_DIRECT_CALLS");
-  if (!DC || std::strcmp(DC, "0") != 0) {
+  if (Knobs.DirectCalls) {
     JIT->Pools.resize(BCMod->Functions.size());
     for (std::size_t I = 0; I < BCMod->Functions.size(); ++I)
       JIT->Pools[I] = PatchedPools.data() + PoolOffsets[I];
@@ -241,16 +223,16 @@ ExecutionEngine::jitUnitFor(std::uint32_t FnIdx) {
     return P;
   auto CF = jit::compileFunction(BCMod->Functions[FnIdx], JIT->Opts);
   if (CF->Supported) {
-    JITCompiled.fetch_add(1, std::memory_order_relaxed);
+    JITFunctionsCompiled.fetch_add(1, std::memory_order_relaxed);
     JITCodeBytes.fetch_add(CF->Code.size(), std::memory_order_relaxed);
     JITRegAllocSlots.fetch_add(CF->Regs.size(), std::memory_order_relaxed);
-    JITSpillSites.fetch_add(CF->SpillSites, std::memory_order_relaxed);
+    JITSpills.fetch_add(CF->SpillSites, std::memory_order_relaxed);
     JITFusedTemplates.fetch_add(CF->FusedTemplates,
                                 std::memory_order_relaxed);
     JITDirectCallSites.fetch_add(CF->DirectCallSites,
                                  std::memory_order_relaxed);
   } else {
-    JITFallbackFns.fetch_add(1, std::memory_order_relaxed);
+    JITFallbacks.fetch_add(1, std::memory_order_relaxed);
   }
   P = CF.get();
   JIT->Owned.push_back(std::move(CF));

@@ -14,8 +14,19 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 
 namespace mcc::interp {
+
+/// The native tier's MCC_JIT_* knobs. An unset or bad variable keeps its
+/// default; a bad one also sets \p Error.
+struct JITKnobs {
+  std::uint32_t CallThreshold = 16;
+  std::uint32_t OSRThreshold = 1024;
+  std::optional<bc::Op> ForceFallback;
+  bool DirectCalls = true;
+};
+JITKnobs readJITKnobs(std::string *Error);
 
 /// Per-engine native-tier state. The publication protocol matches the
 /// bytecode table's spirit: executors load-acquire a unit pointer and

@@ -39,11 +39,10 @@ struct LoopUnrollOptions {
   unsigned FullUnrollMax = 128;
 };
 
+/// Fields are the UNROLL_STAT rows of PipelineStats.def.
 struct LoopUnrollStats {
-  unsigned LoopsUnrolled = 0;
-  unsigned LoopsFullyUnrolled = 0;
-  unsigned LoopsWithRemainder = 0;
-  unsigned LoopsSkipped = 0;
+#define UNROLL_STAT(Group, Name, Field) unsigned Field = 0;
+#include "midend/PipelineStats.def"
 };
 
 /// Runs the unroller over every function of \p M. Returns statistics.

@@ -666,6 +666,14 @@ unsigned runScalarPromote(Module &M) {
   return Promoted;
 }
 
+stats::Component statsComponent(const PipelineStats &S) {
+  stats::Component C{"midend", {}};
+#define UNROLL_STAT(Group, Name, Field) C.add(#Group, #Name, S.Unroll.Field);
+#define MIDEND_STAT(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#include "midend/PipelineStats.def"
+  return C;
+}
+
 PipelineStats runDefaultPipeline(Module &M,
                                  const LoopUnrollOptions &UnrollOpts) {
   PipelineStats Stats;

@@ -3,6 +3,7 @@
 #define MCC_MIDEND_PASSES_H
 
 #include "midend/LoopUnroll.h"
+#include "support/Stats.h"
 
 namespace mcc::midend {
 
@@ -32,13 +33,16 @@ unsigned runStoreForward(ir::Module &M);
 /// promotions performed.
 unsigned runScalarPromote(ir::Module &M);
 
+/// Fields are the MIDEND_STAT rows of PipelineStats.def.
 struct PipelineStats {
   LoopUnrollStats Unroll;
-  unsigned BlocksSimplified = 0;
-  unsigned LoadsForwarded = 0;
-  unsigned ScalarsPromoted = 0;
-  unsigned InstructionsDCEd = 0;
+#define MIDEND_STAT(Group, Name, Field) unsigned Field = 0;
+#include "midend/PipelineStats.def"
 };
+
+/// The pipeline's rows for the stats writer (support/Stats.h), one group
+/// per pass in pipeline order.
+stats::Component statsComponent(const PipelineStats &S);
 
 /// The default -O1 pipeline: LoopUnroll, then CFG simplification,
 /// store-to-load forwarding, loop scalar promotion, and DCE.

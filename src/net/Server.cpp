@@ -2,7 +2,6 @@
 #include "net/Server.h"
 
 #include "service/JobSpec.h"
-#include "support/JSONWriter.h"
 
 #include <algorithm>
 #include <chrono>
@@ -45,7 +44,7 @@ void Server::acceptLoop() {
       continue;
     auto C = std::make_shared<Connection>();
     C->Sock = std::move(Conn);
-    StatConnections.fetch_add(1, std::memory_order_relaxed);
+    Counters.Connections.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(M);
     C->Reader = std::thread([this, C] { readerLoop(C); });
     Connections.push_back(C);
@@ -105,7 +104,9 @@ void Server::handleFrame(const std::shared_ptr<Connection> &C, Frame F) {
     StatsMsg S;
     bool JSON = decodeStats(F.Payload, S) && S.JSON;
     sendFrame(C, MsgType::StatsReply, F.JobId,
-              encodeStatsReply(renderStats(JSON)));
+              encodeStatsReply(stats::render(
+                  statsComponents(),
+                  JSON ? stats::Format::JSON : stats::Format::Text)));
     return;
   }
   case MsgType::Shutdown:
@@ -131,7 +132,7 @@ void Server::handleSubmit(const std::shared_ptr<Connection> &C, Frame F) {
 
   SubmitMsg Sub;
   if (!decodeSubmit(F.Payload, Sub)) {
-    StatRejectedMalformed.fetch_add(1, std::memory_order_relaxed);
+    Counters.RejectedMalformed.fetch_add(1, std::memory_order_relaxed);
     Reject(RejectCode::Malformed, 0, "undecodable submit payload");
     return;
   }
@@ -141,7 +142,7 @@ void Server::handleSubmit(const std::shared_ptr<Connection> &C, Frame F) {
   for (const std::string &W : svc::splitJobWords(Sub.Flags)) {
     std::string Error;
     if (!svc::parseJobFlagWord(W, Job, Error)) {
-      StatRejectedMalformed.fetch_add(1, std::memory_order_relaxed);
+      Counters.RejectedMalformed.fetch_add(1, std::memory_order_relaxed);
       Reject(RejectCode::Malformed, 0, Error);
       return;
     }
@@ -150,26 +151,26 @@ void Server::handleSubmit(const std::shared_ptr<Connection> &C, Frame F) {
   {
     std::lock_guard<std::mutex> Lock(M);
     if (Draining) {
-      StatRejectedShutdown.fetch_add(1, std::memory_order_relaxed);
+      Counters.RejectedShutdown.fetch_add(1, std::memory_order_relaxed);
       Reject(RejectCode::ShuttingDown, 0, "daemon is draining");
       return;
     }
     if (C->Dispatched.count(F.JobId) ||
         std::any_of(C->Pending.begin(), C->Pending.end(),
                     [&](const PendingJob &P) { return P.JobId == F.JobId; })) {
-      StatRejectedMalformed.fetch_add(1, std::memory_order_relaxed);
+      Counters.RejectedMalformed.fetch_add(1, std::memory_order_relaxed);
       Reject(RejectCode::Malformed, 0, "duplicate job id in flight");
       return;
     }
     if (C->InFlight >= Opts.PerClientInFlight) {
-      StatRejectedQuota.fetch_add(1, std::memory_order_relaxed);
+      Counters.RejectedQuota.fetch_add(1, std::memory_order_relaxed);
       Reject(RejectCode::Quota, Opts.RetryAfterMs,
              "per-client in-flight quota (" +
                  std::to_string(Opts.PerClientInFlight) + ") exceeded");
       return;
     }
     if (TotalPending >= Opts.MaxPendingJobs) {
-      StatRejectedBusy.fetch_add(1, std::memory_order_relaxed);
+      Counters.RejectedBusy.fetch_add(1, std::memory_order_relaxed);
       Reject(RejectCode::Busy, Opts.RetryAfterMs,
              "admission queue full (" + std::to_string(Opts.MaxPendingJobs) +
                  " jobs)");
@@ -178,7 +179,7 @@ void Server::handleSubmit(const std::shared_ptr<Connection> &C, Frame F) {
     C->Pending.push_back({F.JobId, std::move(Job)});
     ++C->InFlight;
     ++TotalPending;
-    StatAccepted.fetch_add(1, std::memory_order_relaxed);
+    Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
     pumpLocked();
   }
 }
@@ -196,14 +197,14 @@ void Server::handleCancel(const std::shared_ptr<Connection> &C,
       --C->InFlight;
       --TotalPending;
       SendCancelled = true;
-      StatCancelled.fetch_add(1, std::memory_order_relaxed);
+      Counters.Cancelled.fetch_add(1, std::memory_order_relaxed);
       if (TotalPending == 0 && TotalDispatched == 0)
         DrainCV.notify_all();
     } else if (C->Dispatched.count(JobId)) {
       // Already compiling: the compile completes (it is shared, cached
       // work), but this client's result is reported Cancelled.
       C->CancelledInFlight.insert(JobId);
-      StatCancelled.fetch_add(1, std::memory_order_relaxed);
+      Counters.Cancelled.fetch_add(1, std::memory_order_relaxed);
     }
     // Unknown/already-completed ids are ignored: the result (or nothing)
     // was already sent and a late Cancel must not confuse the stream.
@@ -264,7 +265,7 @@ void Server::onJobDone(const std::shared_ptr<Connection> &C,
     --C->InFlight;
     Cancelled = C->CancelledInFlight.erase(JobId) > 0;
     Deliver = C->Open;
-    StatCompleted.fetch_add(1, std::memory_order_relaxed);
+    Counters.Completed.fetch_add(1, std::memory_order_relaxed);
     pumpLocked();
     if (TotalPending == 0 && TotalDispatched == 0)
       DrainCV.notify_all();
@@ -361,69 +362,26 @@ void Server::shutdown() {
 
 ServerStatsSnapshot Server::statsSnapshot() const {
   ServerStatsSnapshot S;
-  S.Connections = StatConnections.load(std::memory_order_relaxed);
-  S.Accepted = StatAccepted.load(std::memory_order_relaxed);
-  S.Completed = StatCompleted.load(std::memory_order_relaxed);
-  S.Cancelled = StatCancelled.load(std::memory_order_relaxed);
-  S.RejectedBusy = StatRejectedBusy.load(std::memory_order_relaxed);
-  S.RejectedQuota = StatRejectedQuota.load(std::memory_order_relaxed);
-  S.RejectedMalformed = StatRejectedMalformed.load(std::memory_order_relaxed);
-  S.RejectedShutdown = StatRejectedShutdown.load(std::memory_order_relaxed);
+#define SERVER_COUNTER(Group, Name, Field)                                     \
+  S.Field = Counters.Field.load(std::memory_order_relaxed);
+#include "net/ServerStats.def"
   std::lock_guard<std::mutex> Lock(M);
   S.PendingNow = TotalPending;
   S.DispatchedNow = TotalDispatched;
   return S;
 }
 
-std::string Server::renderStats(bool JSON) const {
-  ServerStatsSnapshot S = statsSnapshot();
-  if (!JSON) {
-    std::string Out = Service.renderStats();
-    Out += "== compile daemon ==\n";
-    char Buf[512];
-    std::snprintf(Buf, sizeof(Buf),
-                  "connections=%llu accepted=%llu completed=%llu "
-                  "cancelled=%llu pending=%llu dispatched=%llu\n"
-                  "rejected: busy=%llu quota=%llu malformed=%llu "
-                  "shutdown=%llu\n",
-                  static_cast<unsigned long long>(S.Connections),
-                  static_cast<unsigned long long>(S.Accepted),
-                  static_cast<unsigned long long>(S.Completed),
-                  static_cast<unsigned long long>(S.Cancelled),
-                  static_cast<unsigned long long>(S.PendingNow),
-                  static_cast<unsigned long long>(S.DispatchedNow),
-                  static_cast<unsigned long long>(S.RejectedBusy),
-                  static_cast<unsigned long long>(S.RejectedQuota),
-                  static_cast<unsigned long long>(S.RejectedMalformed),
-                  static_cast<unsigned long long>(S.RejectedShutdown));
-    Out += Buf;
-    return Out;
-  }
+stats::Component statsComponent(const ServerStatsSnapshot &S) {
+  stats::Component C{"daemon", {}};
+#define SERVER_COUNTER(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#define SERVER_GAUGE(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#include "net/ServerStats.def"
+  return C;
+}
 
-  std::string ServiceJSON = Service.renderStatsJSON();
-  while (!ServiceJSON.empty() && ServiceJSON.back() == '\n')
-    ServiceJSON.pop_back();
-  std::string Out;
-  json::Writer W(Out);
-  W.beginObject();
-  W.key("service");
-  W.rawValue(ServiceJSON);
-  W.key("daemon");
-  W.beginObject();
-  W.field("connections", S.Connections);
-  W.field("accepted", S.Accepted);
-  W.field("completed", S.Completed);
-  W.field("cancelled", S.Cancelled);
-  W.field("pending", S.PendingNow);
-  W.field("dispatched", S.DispatchedNow);
-  W.field("rejected_busy", S.RejectedBusy);
-  W.field("rejected_quota", S.RejectedQuota);
-  W.field("rejected_malformed", S.RejectedMalformed);
-  W.field("rejected_shutdown", S.RejectedShutdown);
-  W.endObject();
-  W.endObject();
-  Out += '\n';
-  return Out;
+std::vector<stats::Component> Server::statsComponents() const {
+  return {svc::statsComponent(Service.statsSnapshot()),
+          statsComponent(statsSnapshot())};
 }
 
 } // namespace mcc::net

@@ -65,18 +65,15 @@ struct ServerOptions {
   unsigned MaxDispatched = 0;
 };
 
+/// The daemon's counters and gauges, one field per row of ServerStats.def.
 struct ServerStatsSnapshot {
-  std::uint64_t Connections = 0;
-  std::uint64_t Accepted = 0;  ///< jobs admitted
-  std::uint64_t Completed = 0; ///< results delivered (incl. cancelled)
-  std::uint64_t Cancelled = 0;
-  std::uint64_t RejectedBusy = 0;
-  std::uint64_t RejectedQuota = 0;
-  std::uint64_t RejectedMalformed = 0;
-  std::uint64_t RejectedShutdown = 0;
-  std::uint64_t PendingNow = 0;    ///< gauge
-  std::uint64_t DispatchedNow = 0; ///< gauge
+#define SERVER_COUNTER(Group, Name, Field) std::uint64_t Field = 0;
+#define SERVER_GAUGE(Group, Name, Field) std::uint64_t Field = 0;
+#include "net/ServerStats.def"
 };
+
+/// The daemon's rows for the stats writer (support/Stats.h).
+stats::Component statsComponent(const ServerStatsSnapshot &S);
 
 class Server {
 public:
@@ -103,8 +100,8 @@ public:
   void shutdown();
 
   [[nodiscard]] ServerStatsSnapshot statsSnapshot() const;
-  /// Combined service + daemon statistics (the stats verb / final dump).
-  [[nodiscard]] std::string renderStats(bool JSON) const;
+  /// The service's and the daemon's rows: what the stats verb renders.
+  [[nodiscard]] std::vector<stats::Component> statsComponents() const;
 
   [[nodiscard]] const ServerOptions &getOptions() const { return Opts; }
 
@@ -159,14 +156,11 @@ private:
   std::condition_variable DrainCV;
   bool Draining = false; ///< submits rejected; guarded by M
 
-  std::atomic<std::uint64_t> StatConnections{0};
-  std::atomic<std::uint64_t> StatAccepted{0};
-  std::atomic<std::uint64_t> StatCompleted{0};
-  std::atomic<std::uint64_t> StatCancelled{0};
-  std::atomic<std::uint64_t> StatRejectedBusy{0};
-  std::atomic<std::uint64_t> StatRejectedQuota{0};
-  std::atomic<std::uint64_t> StatRejectedMalformed{0};
-  std::atomic<std::uint64_t> StatRejectedShutdown{0};
+  /// One atomic per SERVER_COUNTER row of ServerStats.def.
+  struct {
+#define SERVER_COUNTER(Group, Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "net/ServerStats.def"
+  } Counters;
 };
 
 } // namespace mcc::net

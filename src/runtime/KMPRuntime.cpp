@@ -1,7 +1,10 @@
 #include "runtime/KMPRuntime.h"
 
+#include "support/StrictParse.h"
+
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,11 +185,26 @@ OpenMPRuntime &OpenMPRuntime::get() {
   return Instance;
 }
 
+OpenMPRuntime::EnvKnobs OpenMPRuntime::readEnvKnobs(std::string *Error) {
+  EnvKnobs K;
+  K.SpinCount = readEnv<int>(
+      "MCC_RT_SPIN",
+      [](std::string_view V, int &Out) {
+        const char *End = V.data() + V.size();
+        auto [Ptr, Ec] = std::from_chars(V.data(), End, Out);
+        return Ec == std::errc() && Ptr == End;
+      },
+      "a whole decimal int", Error);
+  K.HotTeams = readEnv<bool>("MCC_RT_HOT_TEAMS", parseBit, "0 or 1", Error);
+  return K;
+}
+
 OpenMPRuntime::OpenMPRuntime() {
-  if (const char *Env = std::getenv("MCC_RT_SPIN"))
-    setSpinCount(std::atoi(Env));
-  if (const char *Env = std::getenv("MCC_RT_HOT_TEAMS"))
-    setHotTeamsEnabled(std::atoi(Env) != 0);
+  EnvKnobs K = readEnvKnobs();
+  if (K.SpinCount)
+    setSpinCount(*K.SpinCount);
+  if (K.HotTeams)
+    setHotTeamsEnabled(*K.HotTeams);
 }
 
 OpenMPRuntime::~OpenMPRuntime() { shutdown(); }
@@ -475,73 +493,24 @@ void OpenMPRuntime::endCritical() const {
 }
 
 OpenMPRuntime::StatsSnapshot OpenMPRuntime::statsSnapshot() const {
-  auto Load = [](const std::atomic<std::uint64_t> &A) {
-    return A.load(std::memory_order_relaxed);
-  };
-  return StatsSnapshot{
-      Load(Counters.NumForkJoins),
-      Load(Counters.NumHotTeamForks),
-      Load(Counters.NumTransientForks),
-      Load(Counters.NumTeamReuses),
-      Load(Counters.NumPoolThreadsSpawned),
-      Load(Counters.NumTransientThreadsSpawned),
-      Load(Counters.NumChunksStatic),
-      Load(Counters.NumChunksStaticChunked),
-      Load(Counters.NumChunksDynamic),
-      Load(Counters.NumChunksGuided),
-      Load(Counters.BarrierSpinWakes),
-      Load(Counters.BarrierSleepWakes),
-      Load(Counters.WorkerSpinWakes),
-      Load(Counters.WorkerSleepWakes),
-  };
+  StatsSnapshot S;
+#define RUNTIME_STAT(Group, Name, Field)                                       \
+  S.Field = Counters.Field.load(std::memory_order_relaxed);
+#include "runtime/RuntimeStats.def"
+  return S;
 }
 
 void OpenMPRuntime::resetStats() {
-  auto Zero = [](std::atomic<std::uint64_t> &A) {
-    A.store(0, std::memory_order_relaxed);
-  };
-  Zero(Counters.NumForkJoins);
-  Zero(Counters.NumHotTeamForks);
-  Zero(Counters.NumTransientForks);
-  Zero(Counters.NumTeamReuses);
-  Zero(Counters.NumPoolThreadsSpawned);
-  Zero(Counters.NumTransientThreadsSpawned);
-  Zero(Counters.NumChunksStatic);
-  Zero(Counters.NumChunksStaticChunked);
-  Zero(Counters.NumChunksDynamic);
-  Zero(Counters.NumChunksGuided);
-  Zero(Counters.BarrierSpinWakes);
-  Zero(Counters.BarrierSleepWakes);
-  Zero(Counters.WorkerSpinWakes);
-  Zero(Counters.WorkerSleepWakes);
+#define RUNTIME_STAT(Group, Name, Field)                                       \
+  Counters.Field.store(0, std::memory_order_relaxed);
+#include "runtime/RuntimeStats.def"
 }
 
-std::string OpenMPRuntime::renderStats() const {
-  StatsSnapshot S = statsSnapshot();
-  char Buf[640];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "== OpenMP runtime statistics ==\n"
-      "forks:    total=%llu hot=%llu transient=%llu team-reuses=%llu\n"
-      "threads:  pool-spawned=%llu transient-spawned=%llu\n"
-      "chunks:   static=%llu static-chunked=%llu dynamic=%llu guided=%llu\n"
-      "barriers: spin-wakes=%llu sleep-wakes=%llu\n"
-      "workers:  spin-wakes=%llu sleep-wakes=%llu\n",
-      static_cast<unsigned long long>(S.NumForkJoins),
-      static_cast<unsigned long long>(S.NumHotTeamForks),
-      static_cast<unsigned long long>(S.NumTransientForks),
-      static_cast<unsigned long long>(S.NumTeamReuses),
-      static_cast<unsigned long long>(S.NumPoolThreadsSpawned),
-      static_cast<unsigned long long>(S.NumTransientThreadsSpawned),
-      static_cast<unsigned long long>(S.NumChunksStatic),
-      static_cast<unsigned long long>(S.NumChunksStaticChunked),
-      static_cast<unsigned long long>(S.NumChunksDynamic),
-      static_cast<unsigned long long>(S.NumChunksGuided),
-      static_cast<unsigned long long>(S.BarrierSpinWakes),
-      static_cast<unsigned long long>(S.BarrierSleepWakes),
-      static_cast<unsigned long long>(S.WorkerSpinWakes),
-      static_cast<unsigned long long>(S.WorkerSleepWakes));
-  return Buf;
+stats::Component statsComponent(const OpenMPRuntime::StatsSnapshot &S) {
+  stats::Component C{"runtime", {}};
+#define RUNTIME_STAT(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#include "runtime/RuntimeStats.def"
+  return C;
 }
 
 void OpenMPRuntime::shutdown() {

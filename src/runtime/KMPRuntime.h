@@ -25,6 +25,8 @@
 #ifndef MCC_RUNTIME_KMPRUNTIME_H
 #define MCC_RUNTIME_KMPRUNTIME_H
 
+#include "support/Stats.h"
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -32,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,32 +113,16 @@ private:
 /// observability counters, and the per-thread context.
 class OpenMPRuntime {
 public:
-  /// Observability counters (all atomic; queryable from tests, printed by
-  /// `minicc --rt-stats`).
+  /// Observability counters, one atomic per row of RuntimeStats.def.
   struct Stats {
-    std::atomic<std::uint64_t> NumForkJoins{0};
-    std::atomic<std::uint64_t> NumHotTeamForks{0};   // served by the pool
-    std::atomic<std::uint64_t> NumTransientForks{0}; // nested/contended
-    std::atomic<std::uint64_t> NumTeamReuses{0};     // hot team recycled
-    std::atomic<std::uint64_t> NumPoolThreadsSpawned{0};
-    std::atomic<std::uint64_t> NumTransientThreadsSpawned{0};
-    std::atomic<std::uint64_t> NumChunksStatic{0}; // for_static_init calls
-    std::atomic<std::uint64_t> NumChunksStaticChunked{0};
-    std::atomic<std::uint64_t> NumChunksDynamic{0};
-    std::atomic<std::uint64_t> NumChunksGuided{0};
-    std::atomic<std::uint64_t> BarrierSpinWakes{0};
-    std::atomic<std::uint64_t> BarrierSleepWakes{0};
-    std::atomic<std::uint64_t> WorkerSpinWakes{0};
-    std::atomic<std::uint64_t> WorkerSleepWakes{0};
+#define RUNTIME_STAT(Group, Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "runtime/RuntimeStats.def"
   };
 
   /// Plain (non-atomic) copy of Stats for assertions and printing.
   struct StatsSnapshot {
-    std::uint64_t NumForkJoins, NumHotTeamForks, NumTransientForks,
-        NumTeamReuses, NumPoolThreadsSpawned, NumTransientThreadsSpawned,
-        NumChunksStatic, NumChunksStaticChunked, NumChunksDynamic,
-        NumChunksGuided, BarrierSpinWakes, BarrierSleepWakes,
-        WorkerSpinWakes, WorkerSleepWakes;
+#define RUNTIME_STAT(Group, Name, Field) std::uint64_t Field = 0;
+#include "runtime/RuntimeStats.def"
   };
 
   static OpenMPRuntime &get();
@@ -167,6 +154,15 @@ public:
   [[nodiscard]] int spinCount() const {
     return SpinCountOverride.load(std::memory_order_relaxed);
   }
+
+  /// The runtime's environment knobs: MCC_RT_SPIN (a whole decimal int,
+  /// as setSpinCount takes) and MCC_RT_HOT_TEAMS (0 or 1). An unset or bad
+  /// variable leaves its field empty; a bad one also sets \p Error.
+  struct EnvKnobs {
+    std::optional<int> SpinCount;
+    std::optional<bool> HotTeams;
+  };
+  static EnvKnobs readEnvKnobs(std::string *Error = nullptr);
 
   /// Resolved spin budget for a wait involving \p Waiters runnable
   /// threads (team size for barriers, team size for fork/join parking).
@@ -206,8 +202,6 @@ public:
   Stats &stats() { return Counters; }
   [[nodiscard]] StatsSnapshot statsSnapshot() const;
   void resetStats();
-  /// Human-readable counter dump (the `minicc --rt-stats` payload).
-  [[nodiscard]] std::string renderStats() const;
 
   /// Joins and destroys all pooled workers and drops the cached hot team.
   /// Safe to call repeatedly; the pool respawns lazily on the next fork.
@@ -264,6 +258,9 @@ private:
 
   Stats Counters;
 };
+
+/// The runtime's rows for the stats writer (support/Stats.h).
+stats::Component statsComponent(const OpenMPRuntime::StatsSnapshot &S);
 
 } // namespace mcc::rt
 

@@ -364,14 +364,9 @@ bool ArtifactStore::contains(std::uint64_t Key) {
 
 DiskStoreSnapshot ArtifactStore::statsSnapshot() const {
   DiskStoreSnapshot S;
-  S.Hits = Stats.Hits.load(std::memory_order_relaxed);
-  S.Misses = Stats.Misses.load(std::memory_order_relaxed);
-  S.BadArtifacts = Stats.BadArtifacts.load(std::memory_order_relaxed);
-  S.Stores = Stats.Stores.load(std::memory_order_relaxed);
-  S.StoreFailures = Stats.StoreFailures.load(std::memory_order_relaxed);
-  S.Evictions = Stats.Evictions.load(std::memory_order_relaxed);
-  S.Entries = Stats.Entries.load(std::memory_order_relaxed);
-  S.Bytes = Stats.Bytes.load(std::memory_order_relaxed);
+#define DISK_STAT(Group, Name, Field)                                          \
+  S.Field = Stats.Field.load(std::memory_order_relaxed);
+#include "service/ServiceStats.def"
   return S;
 }
 

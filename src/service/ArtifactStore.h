@@ -53,23 +53,15 @@ struct DiskArtifact {
   std::string IRText;   ///< ir::printModule output; empty when Failed
 };
 
+/// The store's counters, one atomic per DISK_STAT row of ServiceStats.def.
 struct DiskStoreStats {
-  std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Misses{0};
-  /// Files that existed but failed integrity verification (bad magic,
-  /// version skew, key mismatch, truncation, payload-hash mismatch).
-  /// Each one was unlinked and served as a miss.
-  std::atomic<std::uint64_t> BadArtifacts{0};
-  std::atomic<std::uint64_t> Stores{0};
-  std::atomic<std::uint64_t> StoreFailures{0};
-  std::atomic<std::uint64_t> Evictions{0};
-  std::atomic<std::uint64_t> Entries{0};
-  std::atomic<std::uint64_t> Bytes{0};
+#define DISK_STAT(Group, Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "service/ServiceStats.def"
 };
 
 struct DiskStoreSnapshot {
-  std::uint64_t Hits = 0, Misses = 0, BadArtifacts = 0, Stores = 0,
-                StoreFailures = 0, Evictions = 0, Entries = 0, Bytes = 0;
+#define DISK_STAT(Group, Name, Field) std::uint64_t Field = 0;
+#include "service/ServiceStats.def"
 };
 
 struct ArtifactStoreOptions {

@@ -9,10 +9,8 @@
 
 #include "runtime/KMPRuntime.h"
 #include "support/ContentHash.h"
-#include "support/JSONWriter.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace mcc::svc {
 
@@ -383,124 +381,49 @@ void CompileService::shutdown() {
 
 namespace {
 
-CacheLevelSnapshot snapshotLevel(const CacheLevelStats &S) {
-  CacheLevelSnapshot Out;
-  Out.Hits = S.Hits.load(std::memory_order_relaxed);
-  Out.Misses = S.Misses.load(std::memory_order_relaxed);
-  Out.InFlightWaits = S.InFlightWaits.load(std::memory_order_relaxed);
-  Out.Evictions = S.Evictions.load(std::memory_order_relaxed);
-  Out.Entries = S.Entries.load(std::memory_order_relaxed);
-  Out.Bytes = S.Bytes.load(std::memory_order_relaxed);
-  return Out;
+CacheLevelSnapshot snapshot(const CacheLevelStats &Live) {
+  CacheLevelSnapshot S;
+#define CACHE_STAT(Name, Field)                                                \
+  S.Field = Live.Field.load(std::memory_order_relaxed);
+#include "service/ServiceStats.def"
+  return S;
 }
 
-void renderLevel(std::string &Out, const char *Name,
-                 const CacheLevelSnapshot &S) {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "%s: hits=%llu misses=%llu waits=%llu evictions=%llu "
-                "entries=%llu bytes=%llu\n",
-                Name, static_cast<unsigned long long>(S.Hits),
-                static_cast<unsigned long long>(S.Misses),
-                static_cast<unsigned long long>(S.InFlightWaits),
-                static_cast<unsigned long long>(S.Evictions),
-                static_cast<unsigned long long>(S.Entries),
-                static_cast<unsigned long long>(S.Bytes));
-  Out += Buf;
+void addLevel(stats::Component &C, const char *Group,
+              const CacheLevelSnapshot &S) {
+#define CACHE_STAT(Name, Field) C.add(Group, #Name, S.Field);
+#include "service/ServiceStats.def"
 }
 
 } // namespace
 
 ServiceStatsSnapshot CompileService::statsSnapshot() const {
   ServiceStatsSnapshot S;
-  S.Requests = Requests.load(std::memory_order_relaxed);
-  S.Executions = Executions.load(std::memory_order_relaxed);
-  S.L1 = snapshotLevel(L1Stats);
-  S.L2 = snapshotLevel(L2Stats);
-  S.L3 = snapshotLevel(L3Stats);
-  if (Disk) {
-    S.DiskEnabled = true;
+#define SERVICE_STAT(Group, Name, Field)                                       \
+  S.Field = Field.load(std::memory_order_relaxed);
+#include "service/ServiceStats.def"
+  S.Workers = std::max(1u, Opts.NumWorkers);
+  S.L1 = snapshot(L1Stats);
+  S.L2 = snapshot(L2Stats);
+  S.L3 = snapshot(L3Stats);
+  if (Disk)
     S.Disk = Disk->statsSnapshot();
-  }
   return S;
 }
 
-std::string CompileService::renderStats() const {
-  ServiceStatsSnapshot S = statsSnapshot();
-  std::string Out = "== compile service statistics ==\n";
-  char Buf[128];
-  std::snprintf(Buf, sizeof(Buf), "requests: total=%llu executed=%llu workers=%u\n",
-                static_cast<unsigned long long>(S.Requests),
-                static_cast<unsigned long long>(S.Executions),
-                std::max(1u, Opts.NumWorkers));
-  Out += Buf;
-  renderLevel(Out, "L1 tokens", S.L1);
-  renderLevel(Out, "L2 ast   ", S.L2);
-  renderLevel(Out, "L3 module", S.L3);
-  if (S.DiskEnabled) {
-    // Appended only when a store is configured, keeping the established
-    // text format byte-identical for disk-less deployments.
-    char DBuf[256];
-    std::snprintf(DBuf, sizeof(DBuf),
-                  "disk     : hits=%llu misses=%llu bad=%llu stores=%llu "
-                  "evictions=%llu entries=%llu bytes=%llu\n",
-                  static_cast<unsigned long long>(S.Disk.Hits),
-                  static_cast<unsigned long long>(S.Disk.Misses),
-                  static_cast<unsigned long long>(S.Disk.BadArtifacts),
-                  static_cast<unsigned long long>(S.Disk.Stores),
-                  static_cast<unsigned long long>(S.Disk.Evictions),
-                  static_cast<unsigned long long>(S.Disk.Entries),
-                  static_cast<unsigned long long>(S.Disk.Bytes));
-    Out += DBuf;
+stats::Component statsComponent(const ServiceStatsSnapshot &S) {
+  stats::Component C{"service", {}};
+#define SERVICE_STAT(Group, Name, Field) C.add(#Group, #Name, S.Field);
+#include "service/ServiceStats.def"
+  C.add("jobs", "workers", S.Workers);
+  addLevel(C, "l1_tokens", S.L1);
+  addLevel(C, "l2_ast", S.L2);
+  addLevel(C, "l3_module", S.L3);
+  if (S.Disk) {
+#define DISK_STAT(Group, Name, Field) C.add(#Group, #Name, S.Disk->Field);
+#include "service/ServiceStats.def"
   }
-  return Out;
-}
-
-namespace {
-
-void writeLevelJSON(json::Writer &W, const char *Name,
-                    const CacheLevelSnapshot &S) {
-  W.key(Name);
-  W.beginObject();
-  W.field("hits", S.Hits);
-  W.field("misses", S.Misses);
-  W.field("waits", S.InFlightWaits);
-  W.field("evictions", S.Evictions);
-  W.field("entries", S.Entries);
-  W.field("bytes", S.Bytes);
-  W.endObject();
-}
-
-} // namespace
-
-std::string CompileService::renderStatsJSON() const {
-  ServiceStatsSnapshot S = statsSnapshot();
-  std::string Out;
-  json::Writer W(Out);
-  W.beginObject();
-  W.field("requests", S.Requests);
-  W.field("executions", S.Executions);
-  W.field("workers", static_cast<std::uint64_t>(std::max(1u, Opts.NumWorkers)));
-  writeLevelJSON(W, "l1_tokens", S.L1);
-  writeLevelJSON(W, "l2_ast", S.L2);
-  writeLevelJSON(W, "l3_module", S.L3);
-  W.field("disk_enabled", S.DiskEnabled);
-  if (S.DiskEnabled) {
-    W.key("disk");
-    W.beginObject();
-    W.field("hits", S.Disk.Hits);
-    W.field("misses", S.Disk.Misses);
-    W.field("bad_artifacts", S.Disk.BadArtifacts);
-    W.field("stores", S.Disk.Stores);
-    W.field("store_failures", S.Disk.StoreFailures);
-    W.field("evictions", S.Disk.Evictions);
-    W.field("entries", S.Disk.Entries);
-    W.field("bytes", S.Disk.Bytes);
-    W.endObject();
-  }
-  W.endObject();
-  Out += '\n';
-  return Out;
+  return C;
 }
 
 } // namespace mcc::svc

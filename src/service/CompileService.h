@@ -40,6 +40,7 @@
 #include "driver/CompilerInstance.h"
 #include "interp/Interpreter.h"
 #include "service/ArtifactStore.h"
+#include "support/Stats.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -50,6 +51,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -158,30 +160,29 @@ std::uint64_t moduleKey(std::uint64_t L2Key, const CompilerOptions &Options);
 // Statistics
 //===----------------------------------------------------------------------===//
 
+/// One cache level's counters, one atomic per CACHE_STAT row of
+/// ServiceStats.def.
 struct CacheLevelStats {
-  std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Misses{0};
-  /// Requests that found their key mid-production and blocked on the
-  /// producer instead of compiling redundantly (single-flight dedup).
-  std::atomic<std::uint64_t> InFlightWaits{0};
-  std::atomic<std::uint64_t> Evictions{0};
-  std::atomic<std::uint64_t> Entries{0};
-  std::atomic<std::uint64_t> Bytes{0};
+#define CACHE_STAT(Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "service/ServiceStats.def"
 };
 
 struct CacheLevelSnapshot {
-  std::uint64_t Hits = 0, Misses = 0, InFlightWaits = 0, Evictions = 0,
-                Entries = 0, Bytes = 0;
+#define CACHE_STAT(Name, Field) std::uint64_t Field = 0;
+#include "service/ServiceStats.def"
 };
 
 struct ServiceStatsSnapshot {
-  std::uint64_t Requests = 0;
-  std::uint64_t Executions = 0;
+#define SERVICE_STAT(Group, Name, Field) std::uint64_t Field = 0;
+#include "service/ServiceStats.def"
+  std::uint64_t Workers = 0;
   CacheLevelSnapshot L1, L2, L3;
-  /// On-disk store counters; meaningful only when DiskEnabled.
-  bool DiskEnabled = false;
-  DiskStoreSnapshot Disk;
+  std::optional<DiskStoreSnapshot> Disk; ///< set when a store is configured
 };
+
+/// The service's rows for the stats writer (support/Stats.h); the disk
+/// group appears only when a store is configured.
+stats::Component statsComponent(const ServiceStatsSnapshot &S);
 
 //===----------------------------------------------------------------------===//
 // Single-flight LRU cache
@@ -401,14 +402,6 @@ public:
   void shutdown();
 
   [[nodiscard]] ServiceStatsSnapshot statsSnapshot() const;
-  /// Human-readable counter dump (the `minicc-serve --service-stats`
-  /// payload), styled after OpenMPRuntime::renderStats(). Byte-stable
-  /// when no disk store is configured; with one, a `disk:` line is
-  /// appended.
-  [[nodiscard]] std::string renderStats() const;
-  /// Machine-readable JSON snapshot (`--service-stats=json`, the daemon
-  /// `stats` verb) for scraping.
-  [[nodiscard]] std::string renderStatsJSON() const;
 
   /// The on-disk artifact store, or null when persistence is disabled.
   [[nodiscard]] ArtifactStore *diskStore() { return Disk.get(); }
@@ -440,8 +433,8 @@ private:
   ArtifactCache<ASTArtifact> L2Cache;
   ArtifactCache<ModuleArtifact> L3Cache;
 
-  std::atomic<std::uint64_t> Requests{0};
-  std::atomic<std::uint64_t> Executions{0};
+#define SERVICE_STAT(Group, Name, Field) std::atomic<std::uint64_t> Field{0};
+#include "service/ServiceStats.def"
 
   std::mutex QueueMutex;
   std::condition_variable QueueCV;

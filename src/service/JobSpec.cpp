@@ -2,26 +2,13 @@
 #include "service/JobSpec.h"
 
 #include "analysis/Analysis.h"
+#include "support/StrictParse.h"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <sstream>
 
 namespace mcc::svc {
-
-namespace {
-
-/// Parses \p Text as a whole decimal number no larger than \p Max. Digits
-/// only: an empty value, a sign, blanks, trailing junk or overflow fail.
-bool parseDecimal(std::string_view Text, std::uint64_t Max,
-                  std::uint64_t &Out) {
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
-  return Ec == std::errc() && Ptr == End && Out <= Max;
-}
-
-} // namespace
 
 std::vector<std::string> splitJobWords(const std::string &Line) {
   std::istringstream In(Line);

@@ -157,8 +157,8 @@ TEST(DriverTest, HeuristicUnrollFactorOption) {
 }
 
 TEST(DriverTest, RuntimeStatsObservableAfterRun) {
-  // The --rt-stats surface: reset the runtime (the interp hook the driver
-  // and deterministic tests share), execute an OpenMP program, and check
+  // The runtime half of `minicc --stats`: reset the runtime (the interp
+  // hook deterministic tests share), execute an OpenMP program, and check
   // the counters describe exactly what ran.
   interp::ExecutionEngine::resetOpenMPRuntime();
   CompilerOptions Options;
@@ -185,7 +185,8 @@ TEST(DriverTest, RuntimeStatsObservableAfterRun) {
   // 3 regions x ceil(40/5) chunks.
   EXPECT_EQ(S.NumChunksDynamic, 24u);
 
-  std::string Text = rt::OpenMPRuntime::get().renderStats();
+  std::string Text =
+      stats::render({rt::statsComponent(S)}, stats::Format::Text);
   EXPECT_NE(Text.find("total=3"), std::string::npos) << Text;
   EXPECT_NE(Text.find("dynamic=24"), std::string::npos) << Text;
 }

@@ -12,17 +12,16 @@
 // then review the diff like any other source change.
 //
 //===----------------------------------------------------------------------===//
+#include "GoldenTestHelper.h"
 #include "ast/RecursiveASTVisitor.h"
 #include "driver/CompilerInstance.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace mcc;
+using test::compareWithGolden;
 
 namespace {
 
@@ -41,29 +40,6 @@ template <typename T> T *findNode(TranslationUnitDecl *TU) {
     if (!F.traverseDecl(D))
       break;
   return F.Found;
-}
-
-std::string goldenPath(const std::string &Name) {
-  return std::string(MCC_GOLDEN_DIR) + "/" + Name + ".golden";
-}
-
-void compareWithGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = goldenPath(Name);
-  if (std::getenv("MCC_REGEN_GOLDEN")) {
-    std::ofstream Out(Path, std::ios::trunc);
-    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
-    Out << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good()) << "missing golden file " << Path
-                         << " (run with MCC_REGEN_GOLDEN=1 to create)";
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  EXPECT_EQ(Buf.str(), Actual)
-      << "exhibit '" << Name << "' drifted from " << Path
-      << "\nIf the change is intentional, regenerate with "
-         "MCC_REGEN_GOLDEN=1 and review the diff.";
 }
 
 /// Parses \p Source and dumps the first node of type T (optionally its

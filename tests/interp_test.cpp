@@ -710,15 +710,18 @@ TEST(InterpTest, ExecStatsRender) {
 
   ExecutionEngine EE(M, ExecEngineKind::Bytecode);
   EE.runFunction("f", {});
-  std::string S = EE.renderExecStats();
-  EXPECT_NE(S.find("== execution engine statistics =="), std::string::npos);
-  EXPECT_NE(S.find("engine:    bytecode"), std::string::npos);
-  EXPECT_NE(S.find("frames=1"), std::string::npos);
+  std::string S = mcc::stats::render({statsComponent(EE.statsSnapshot())},
+                                     mcc::stats::Format::Text);
+  EXPECT_NE(S.find("== exec =="), std::string::npos) << S;
+  EXPECT_NE(S.find("engine: kind=bytecode"), std::string::npos) << S;
+  EXPECT_NE(S.find("frames=1"), std::string::npos) << S;
 
   ExecutionEngine WE(M, ExecEngineKind::Walker);
-  std::string W = WE.renderExecStats();
-  EXPECT_NE(W.find("engine:    walker dispatch=tree-walk"),
-            std::string::npos);
+  std::string W = mcc::stats::render({statsComponent(WE.statsSnapshot())},
+                                     mcc::stats::Format::Text);
+  EXPECT_NE(W.find("engine: kind=walker dispatch=tree-walk"),
+            std::string::npos)
+      << W;
 }
 
 TEST(InterpTest, PrecompiledBytecodeIsReused) {

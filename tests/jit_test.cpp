@@ -188,7 +188,7 @@ TEST(JITTest, FlagSpellingRejectsUnknownEngineNames) {
 TEST(JITTest, EnvSpellingDiagnosesUnknownEngineNames) {
   {
     ScopedEnv Env("MCC_EXEC_ENGINE", "turbo");
-    std::string Err = execEngineEnvError();
+    std::string Err = environmentError();
     EXPECT_NE(Err.find("turbo"), std::string::npos) << Err;
     EXPECT_NE(Err.find("MCC_EXEC_ENGINE"), std::string::npos) << Err;
     // The library itself stays permissive (drivers enforce).
@@ -197,7 +197,7 @@ TEST(JITTest, EnvSpellingDiagnosesUnknownEngineNames) {
   }
   for (const char *Good : {"walker", "bytecode", "native", "tiered"}) {
     ScopedEnv Env("MCC_EXEC_ENGINE", Good);
-    EXPECT_EQ(execEngineEnvError(), "") << Good;
+    EXPECT_EQ(environmentError(), "") << Good;
   }
 }
 
@@ -476,23 +476,23 @@ TEST(JITTest, OSRPromotionWithValuesLiveInRegisters) {
 TEST(JITTest, JITEnvKnobDiagnostics) {
   {
     ScopedEnv Env("MCC_JIT_CALL_THRESHOLD", "banana");
-    std::string Err = jitEnvError();
+    std::string Err = environmentError();
     EXPECT_NE(Err.find("MCC_JIT_CALL_THRESHOLD"), std::string::npos) << Err;
     EXPECT_NE(Err.find("banana"), std::string::npos) << Err;
   }
   {
     ScopedEnv Env("MCC_JIT_OSR_THRESHOLD", "0");
-    EXPECT_NE(jitEnvError(), ""); // zero would divide the tier by zero
+    EXPECT_NE(environmentError(), ""); // zero would divide the tier by zero
   }
   {
     ScopedEnv Env("MCC_JIT_FORCE_FALLBACK_OP", "NotAnOp");
-    std::string Err = jitEnvError();
+    std::string Err = environmentError();
     EXPECT_NE(Err.find("MCC_JIT_FORCE_FALLBACK_OP"), std::string::npos)
         << Err;
   }
   {
     ScopedEnv Env("MCC_JIT_DIRECT_CALLS", "maybe");
-    std::string Err = jitEnvError();
+    std::string Err = environmentError();
     EXPECT_NE(Err.find("MCC_JIT_DIRECT_CALLS"), std::string::npos) << Err;
   }
   {
@@ -500,7 +500,7 @@ TEST(JITTest, JITEnvKnobDiagnostics) {
     ScopedEnv OSRT("MCC_JIT_OSR_THRESHOLD", "1024");
     ScopedEnv Force("MCC_JIT_FORCE_FALLBACK_OP", "CmpBr");
     ScopedEnv Direct("MCC_JIT_DIRECT_CALLS", "0");
-    EXPECT_EQ(jitEnvError(), "");
+    EXPECT_EQ(environmentError(), "");
   }
 }
 

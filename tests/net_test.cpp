@@ -363,9 +363,8 @@ TEST_F(NetTest, StatsVerbTextAndJSON) {
   ASSERT_TRUE(C.requestStats(/*JSON=*/false));
   Ev = nextEvent(C);
   ASSERT_EQ(Ev.Type, net::MsgType::StatsReply);
-  EXPECT_NE(Ev.Text.find("== compile service statistics =="),
-            std::string::npos);
-  EXPECT_NE(Ev.Text.find("== compile daemon =="), std::string::npos);
+  EXPECT_NE(Ev.Text.find("== service =="), std::string::npos);
+  EXPECT_NE(Ev.Text.find("== daemon =="), std::string::npos);
   EXPECT_NE(Ev.Text.find("accepted=1"), std::string::npos);
 
   ASSERT_TRUE(C.requestStats(/*JSON=*/true));

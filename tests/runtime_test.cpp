@@ -381,7 +381,9 @@ TEST(StatsTest, WorkerWakePolicyIsObservable) {
 TEST(StatsTest, RenderStatsMentionsEveryCounterGroup) {
   OpenMPRuntime &RT = freshRuntime();
   RT.forkCall([](int) {}, 2);
-  std::string Text = RT.renderStats();
+  std::string Text =
+      mcc::stats::render({statsComponent(RT.statsSnapshot())},
+                         mcc::stats::Format::Text);
   for (const char *Needle :
        {"forks:", "threads:", "chunks:", "barriers:", "workers:", "hot="})
     EXPECT_NE(Text.find(Needle), std::string::npos) << Needle;

@@ -592,7 +592,7 @@ TEST_F(DiskStoreTest, ServiceWarmFromDiskAfterRestart) {
   ASSERT_TRUE(R.Module != nullptr);
   EXPECT_FALSE(R.Module->hasLiveModule()); // a disk stub, not a live module
   EXPECT_EQ(R.Module->irText(), ir::printModule(Cold.Module->module()));
-  EXPECT_EQ(Warm.statsSnapshot().Disk.Hits, 1u);
+  EXPECT_EQ(Warm.statsSnapshot().Disk->Hits, 1u);
 }
 
 TEST_F(DiskStoreTest, FailureVerdictsPersistByteForByte) {
@@ -670,7 +670,7 @@ TEST_F(DiskStoreTest, CorruptedStoreOnlySlowsTheServiceDown) {
   CompileResult R = Warm.compile(makeJob(SumProgram));
   ASSERT_TRUE(R.Succeeded) << R.Diagnostics;
   EXPECT_FALSE(R.Trace.DiskHit); // verified miss, recompiled from source
-  EXPECT_GE(Warm.statsSnapshot().Disk.BadArtifacts, 1u);
+  EXPECT_GE(Warm.statsSnapshot().Disk->BadArtifacts, 1u);
 }
 
 TEST_F(DiskStoreTest, EditingAnIncludedFileCannotStaleAVerdict) {
